@@ -13,8 +13,44 @@ import repro.bench.BenchUtil.{fmt, printTable}
   *  - Fig 10b/11b: sequential query against one run;
   *  - Fig 10c/11c: sequential query with scan range 1;
   *  - Fig 12–15: first window of the experiment's baseline series.
+  *
+  * `main` prints the named figures (default: all) at the paper's full
+  * parameters; `--large` adds the 10M-entry point to Fig 8 and 9. The index
+  * benchmarks need no SparkSession at runtime:
+  *
+  * {{{
+  *   sbt "runMain repro.bench.FigureTables fig10 fig11"
+  *   sbt "runMain repro.bench.FigureTables fig8 fig9 --large"
+  * }}}
   */
 object FigureTables {
+
+  def main(args: Array[String]): Unit = {
+    val sizes = Seq(1_000, 10_000, 100_000, 1_000_000) ++
+      (if (args.contains("--large")) Seq(10_000_000) else Nil)
+    val e2e = EndToEndHarness.Config(
+      cyclesTotal = 100, recordsPerCycle = 10_000, postGroomEvery = 20,
+      updatePercent = 10.0, windowCycles = 10, cyclePauseMillis = 25)
+    def sweeps(sequentialIngest: Boolean): Unit = {
+      fig10a(sequentialIngest, Seq(1, 10, 100, 1000, 10000))
+      fig10b(sequentialIngest, Seq(1, 10, 20, 40, 60, 80, 100))
+      fig10c(sequentialIngest, Seq(1L, 10L, 100L, 1000L, 10000L, 100000L, 1000000L))
+    }
+    val figures: Seq[(String, () => Unit)] = Seq(
+      "fig8" -> (() => fig8(sizes)),
+      "fig9" -> (() => fig9(sizes)),
+      "fig10" -> (() => sweeps(sequentialIngest = true)),
+      "fig11" -> (() => sweeps(sequentialIngest = false)),
+      "fig12" -> (() => fig12(Seq(1, 4, 16, 28, 40, 52), e2e)),
+      "fig13" -> (() => fig13(Seq(0, 20, 40, 60, 80, 100), e2e)),
+      "fig14" -> (() => fig14(e2e)),
+      "fig15" -> (() => fig15(e2e)))
+    val named = args.filterNot(_ == "--large").toSeq
+    val unknown = named.filterNot(n => figures.exists(_._1 == n))
+    require(unknown.isEmpty,
+      s"unknown figure(s) ${unknown.mkString(", ")}; choose from ${figures.map(_._1).mkString(", ")}")
+    figures.filter { case (n, _) => named.isEmpty || named.contains(n) }.foreach(_._2())
+  }
 
   // ------------------------------------------------------------------ Fig 8
 

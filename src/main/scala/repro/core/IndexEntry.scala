@@ -14,9 +14,6 @@ final case class IndexEntry(
     rid: Rid,
     includedValues: Array[Long]) {
 
-  /** The logical key this entry versions: equality + sort column values. */
-  def keyValues: Seq[Long] = eqValues.toSeq ++ sortValues.toSeq
-
   override def toString: String =
     s"IndexEntry(eq=${eqValues.mkString(",")} sort=${sortValues.mkString(",")} " +
       s"ts=$beginTS rid=$rid inc=${includedValues.mkString(",")})"

@@ -75,13 +75,6 @@ final class IndexRun(
   @inline def sameKey(i: Int, j: Int): Boolean =
     KeyCodec.compareUnsigned(data, pos(i), data, pos(j), defn.keyWidth) == 0
 
-  /** Copy the full key bytes of entry `i`. */
-  def keyBytesAt(i: Int): Array[Byte] = {
-    val out = new Array[Byte](defn.keyWidth)
-    System.arraycopy(data, pos(i), out, 0, defn.keyWidth)
-    out
-  }
-
   /** First index in [from, until) whose `len`-byte key prefix is >= probe
     * (binary search; each probe touches the probed entry's block).
     */

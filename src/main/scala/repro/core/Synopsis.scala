@@ -18,15 +18,6 @@ final case class Synopsis(mins: Array[Long], maxs: Array[Long]) {
   /** Does column `col`'s recorded range contain `v`? */
   def contains(col: Int, v: Long): Boolean = overlaps(col, v, v)
 
-  /** Union with another synopsis (used when merging runs). */
-  def union(other: Synopsis): Synopsis = {
-    require(other.nCols == nCols, "synopsis arity mismatch")
-    Synopsis(
-      Array.tabulate(nCols)(i => math.min(mins(i), other.mins(i))),
-      Array.tabulate(nCols)(i => math.max(maxs(i), other.maxs(i)))
-    )
-  }
-
   override def toString: String =
     (0 until nCols).map(i => s"[${mins(i)},${maxs(i)}]").mkString("Synopsis(", ", ", ")")
 
@@ -35,36 +26,4 @@ final case class Synopsis(mins: Array[Long], maxs: Array[Long]) {
     case _ => false
   }
   override def hashCode(): Int = (mins.toSeq, maxs.toSeq).hashCode()
-}
-
-object Synopsis {
-
-  /** Identity element for [[Synopsis.union]] over `n` key columns. */
-  def empty(n: Int): Synopsis =
-    Synopsis(Array.fill(n)(Long.MaxValue), Array.fill(n)(Long.MinValue))
-
-  /** Compute the synopsis of a set of entries under `defn`. */
-  def ofEntries(defn: IndexDef, entries: Iterable[IndexEntry]): Synopsis = {
-    val n = defn.nEq + defn.nSort
-    val mins = Array.fill(n)(Long.MaxValue)
-    val maxs = Array.fill(n)(Long.MinValue)
-    entries.foreach { e =>
-      var i = 0
-      while (i < defn.nEq) {
-        val v = e.eqValues(i)
-        if (v < mins(i)) mins(i) = v
-        if (v > maxs(i)) maxs(i) = v
-        i += 1
-      }
-      var j = 0
-      while (j < defn.nSort) {
-        val v = e.sortValues(j)
-        val c = defn.nEq + j
-        if (v < mins(c)) mins(c) = v
-        if (v > maxs(c)) maxs(c) = v
-        j += 1
-      }
-    }
-    Synopsis(mins, maxs)
-  }
 }

@@ -1,7 +1,6 @@
 package repro.dsv2
 
-import java.nio.file.{Files, Path, Paths}
-import java.sql.DriverManager
+import java.nio.file.{Path, Paths}
 import java.util.concurrent.atomic.LongAdder
 import java.util.{Map => JMap}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -11,8 +10,7 @@ import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import repro.wildfire.BlockMeta
-import scala.jdk.CollectionConverters._
+import repro.wildfire.{BlockMeta, ParquetIo, PostGroomer}
 
 /** DataSourceV2 provider `umzi`: a unified, consistent scan over the
   * multi-zone shard layout (repro hint: "custom DataSource V2 index layer
@@ -143,22 +141,12 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     s"umzi unified multi-zone scan (queryTS=$queryTS, pushed=${filters.mkString(",")})"
 
   override def planInputPartitions(): Array[InputPartition] = {
-    val groomedDir = root.resolve("groomed")
-    val postDir = root.resolve("postgroomed")
-    val stateFile = root.resolve("postgroom-state")
-    val coveredHi: Long =
-      if (Files.exists(stateFile)) {
-        val p = new java.util.Properties()
-        val in = Files.newInputStream(stateFile)
-        try p.load(in)
-        finally in.close()
-        p.getProperty("coveredHi").toLong
-      } else -1L
+    val (_, coveredHi, _) = PostGroomer.readState(root)
 
     // Consistency rule across zones (paper §5.4): covered groomed blocks are
     // fully represented in the post-groomed zone and must be ignored.
-    val groomed = BlockMeta.listIn(groomedDir).filter(_.blockId > coveredHi)
-    val post = BlockMeta.listIn(postDir)
+    val groomed = BlockMeta.listIn(root.resolve("groomed")).filter(_.blockId > coveredHi)
+    val post = BlockMeta.listIn(root.resolve("postgroomed"))
 
     val (devLo, devHi) = UmziScanBuilder.boundsOf(filters, "deviceId")
     val (msgLo, msgHi) = UmziScanBuilder.boundsOf(filters, "msgNum")
@@ -179,65 +167,45 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
   }
 
   /** blockId -> [(offset, endTS)], read from the append-only delta files. */
-  private def loadEndTsDeltas(dir: Path): Map[Long, Array[(Long, Long)]] = {
-    if (!Files.exists(dir)) return Map.empty
-    val files = Files.list(dir).iterator().asScala
-      .filter(_.getFileName.toString.endsWith(".parquet")).toSeq
-    if (files.isEmpty) return Map.empty
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      val rows = files.flatMap { f =>
-        val rs = conn.createStatement().executeQuery(
-          s"SELECT blockId, \"offset\", endTS FROM read_parquet('${f.toString}')")
-        Iterator.continually(rs).takeWhile(_.next())
-          .map(r => (r.getLong(1), r.getLong(2), r.getLong(3))).toSeq
-      }
-      rows.groupBy(_._1).map { case (bid, rs) =>
-        bid -> rs.map(r => (r._2, r._3)).toArray
-      }
-    } finally conn.close()
-  }
+  private def loadEndTsDeltas(dir: Path): Map[Long, Array[(Long, Long)]] =
+    Option(dir.toFile.listFiles()).toSeq.flatten
+      .filter(_.getName.endsWith(".parquet"))
+      .flatMap(f => ParquetIo.readLongRows(f.getPath, "blockId", "offset", "endTS"))
+      .groupBy(_(0))
+      .map { case (bid, rs) => bid -> rs.map(r => (r(1), r(2))).toArray }
 
   override def createReaderFactory(): PartitionReaderFactory = new UmziReaderFactory(queryTS)
 }
 
-/** Reads one Parquet zone block through DuckDB's in-process Parquet reader
-  * (offline-friendly; see DESIGN.md §2) and applies the snapshot predicate
-  * beginTS <= queryTS < effective endTS, where the effective endTS merges
-  * the block column with the delta entries.
+/** Reads one Parquet zone block with [[ParquetIo.readLongRows]] and applies
+  * the snapshot predicate beginTS <= queryTS < effective endTS, where the
+  * effective endTS of a post-groomed row is its delta entry if it has one,
+  * else its block column; groomed rows have no endTS yet (paper §2.1).
   */
 final class UmziReaderFactory(queryTS: Long) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val p = partition.asInstanceOf[UmziInputPartition]
-    new PartitionReader[InternalRow] {
-      Class.forName("org.duckdb.DuckDBDriver")
-      private val conn = DriverManager.getConnection("jdbc:duckdb:")
-      private val delta: Map[Long, Long] = p.endTsDelta.toMap
-      private val cols =
-        if (p.isPostGroomed) "deviceId, msgNum, value, beginTS, endTS, \"offset\""
-        else "deviceId, msgNum, value, beginTS, \"offset\""
-      private val rs = conn.createStatement().executeQuery(
-        s"SELECT $cols FROM read_parquet('${p.file}') ORDER BY \"offset\"")
-      private var current: InternalRow = _
-
-      override def next(): Boolean = {
-        while (rs.next()) {
-          val beginTS = rs.getLong(4)
-          val offset = rs.getLong(if (p.isPostGroomed) 6 else 5)
-          val endTS = delta.getOrElse(offset,
-            if (p.isPostGroomed) rs.getLong(5) else Long.MaxValue)
-          // open versions carry endTS == Long.MaxValue (visible at any ts)
-          if (beginTS <= queryTS && (endTS == Long.MaxValue || queryTS < endTS)) {
-            current = InternalRow(rs.getLong(1), rs.getLong(2), rs.getLong(3), beginTS)
-            return true
-          }
-        }
-        false
+    // open versions carry endTS == Long.MaxValue (visible at any ts)
+    def visible(beginTS: Long, endTS: Long): Boolean =
+      beginTS <= queryTS && (endTS == Long.MaxValue || queryTS < endTS)
+    val rows: Iterator[Array[Long]] =
+      if (p.isPostGroomed) {
+        val delta = p.endTsDelta.toMap
+        ParquetIo.readLongRows(p.file, "deviceId", "msgNum", "value", "beginTS", "endTS", "offset")
+          .iterator.filter(r => visible(r(3), delta.getOrElse(r(5), r(4))))
+      } else {
+        ParquetIo.readLongRows(p.file, "deviceId", "msgNum", "value", "beginTS")
+          .iterator.filter(r => visible(r(3), Long.MaxValue))
       }
-
+    new PartitionReader[InternalRow] {
+      private var current: InternalRow = _
+      override def next(): Boolean = rows.hasNext && {
+        val r = rows.next()
+        current = InternalRow(r(0), r(1), r(2), r(3))
+        true
+      }
       override def get(): InternalRow = current
-      override def close(): Unit = conn.close()
+      override def close(): Unit = ()
     }
   }
 }

@@ -253,6 +253,4 @@ final class CacheManager(
   }
 
   def ssdBytes: Long = ssdBytesUsed.get()
-
-  def cachedBlockCount: Long = runs.values.asScala.map(_.cachedBlocks.toLong).sum
 }

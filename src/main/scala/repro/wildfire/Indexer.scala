@@ -1,7 +1,5 @@
 package repro.wildfire
 
-import java.nio.file.Path
-import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.storage.SharedStorage
 
@@ -16,7 +14,6 @@ import repro.storage.SharedStorage
   * checkpointed to shared storage for recovery (paper §5.5).
   */
 final class Indexer(
-    spark: SparkSession,
     postGroomer: PostGroomer,
     index: UmziIndex,
     runStorage: Option[SharedStorage] = None) {
@@ -40,15 +37,11 @@ final class Indexer(
   }
 
   private def evolveOne(psn: Long): Unit = {
-    import spark.implicits._
     val metas = BlockMeta.listIn(postGroomer.postDir).filter(_.psn == psn)
     require(metas.nonEmpty, s"no post-groomed blocks published for PSN $psn")
     val entries = metas.flatMap { m =>
-      spark.read.parquet(m.file)
-        .select($"deviceId", $"msgNum", $"value", $"beginTS", $"offset")
-        .as[(Long, Long, Long, Long, Long)]
-        .collect()
-        .map { case (d, msg, v, ts, off) =>
+      ParquetIo.readLongRows(m.file, "deviceId", "msgNum", "value", "beginTS", "offset")
+        .map { case Array(d, msg, v, ts, off) =>
           IndexEntry(Array(d), Array(msg), ts,
             Rid(ZoneId.PostGroomed, m.blockId, off.toInt), Array(v))
         }

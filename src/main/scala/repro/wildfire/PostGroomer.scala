@@ -36,20 +36,11 @@ final class PostGroomer(
 
   val postDir: Path = sharedRoot.resolve("postgroomed")
   val endtsDir: Path = sharedRoot.resolve("endts")
-  private val stateFile: Path = sharedRoot.resolve("postgroom-state")
   Files.createDirectories(postDir)
   Files.createDirectories(endtsDir)
 
   /** (maxPsn, coveredGroomedHi, nextPostBlockId) published on shared storage. */
-  def readState(): (Long, Long, Long) =
-    if (Files.exists(stateFile)) {
-      val p = new Properties()
-      val in = Files.newInputStream(stateFile)
-      try p.load(in)
-      finally in.close()
-      (p.getProperty("maxPsn").toLong, p.getProperty("coveredHi").toLong,
-        p.getProperty("nextBlockId").toLong)
-    } else (-1L, -1L, 1_000_000L)
+  def readState(): (Long, Long, Long) = PostGroomer.readState(sharedRoot)
 
   private def writeState(maxPsn: Long, coveredHi: Long, nextBlockId: Long): Unit = {
     val p = new Properties()
@@ -60,7 +51,7 @@ final class PostGroomer(
     val out = Files.newOutputStream(tmp)
     try p.store(out, "postgroom state")
     finally out.close()
-    Files.move(tmp, stateFile, java.nio.file.StandardCopyOption.ATOMIC_MOVE,
+    Files.move(tmp, PostGroomer.stateFile(sharedRoot), java.nio.file.StandardCopyOption.ATOMIC_MOVE,
       java.nio.file.StandardCopyOption.REPLACE_EXISTING)
   }
 
@@ -193,4 +184,24 @@ final class PostGroomer(
         Files.deleteIfExists(Path.of(m.file))
         Files.deleteIfExists(groomedDir.resolve(s"block-${m.blockId}.blockmeta"))
       }
+}
+
+object PostGroomer {
+
+  private def stateFile(sharedRoot: Path): Path = sharedRoot.resolve("postgroom-state")
+
+  /** (maxPsn, coveredGroomedHi, nextPostBlockId) published under `sharedRoot`;
+    * the one parser of the state file, shared by every reader of the shard.
+    */
+  def readState(sharedRoot: Path): (Long, Long, Long) = {
+    val file = stateFile(sharedRoot)
+    if (Files.exists(file)) {
+      val p = new Properties()
+      val in = Files.newInputStream(file)
+      try p.load(in)
+      finally in.close()
+      (p.getProperty("maxPsn").toLong, p.getProperty("coveredHi").toLong,
+        p.getProperty("nextBlockId").toLong)
+    } else (-1L, -1L, 1_000_000L)
+  }
 }

@@ -42,7 +42,7 @@ final class Shard(
   val liveZone: LiveZone = new LiveZone
   val groomer: Groomer = new Groomer(spark, groomedDir, index)
   val postGroomer: PostGroomer = new PostGroomer(spark, sharedRoot, index)
-  val indexer: Indexer = new Indexer(spark, postGroomer, index, Some(runStorage))
+  val indexer: Indexer = new Indexer(postGroomer, index, Some(runStorage))
 
   // Resume block-ID/groom-sequence allocation after a restart so beginTS
   // stays monotonic: continue past both surviving groomed blocks and the
@@ -93,7 +93,6 @@ final class Shard(
     val (watermark, psn) = runStorage.readCheckpoint()
     val discarded = index.recover(runStorage.listRuns(indexConfig.defn), watermark)
     indexer.restoreIndexedPsn(psn)
-    val (_, _, _) = postGroomer.readState()
     discarded
   }
 }

@@ -213,7 +213,7 @@ class IndexRunSpec extends AnyFunSuite {
   test("build rejects data size mismatch at construction") {
     intercept[IllegalArgumentException] {
       new IndexRun(I1, 0, ZoneId.Groomed, 0, BlockRange(0, 0), 2, 8,
-        Synopsis.empty(2), None, new Array[Byte](I1.entryWidth)) // count=2 but 1 entry of data
+        Synopsis(Array(0L, 0L), Array(0L, 0L)), None, new Array[Byte](I1.entryWidth)) // count=2 but 1 entry of data
     }
   }
 

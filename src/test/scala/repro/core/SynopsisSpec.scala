@@ -6,9 +6,9 @@ import Fixtures._
 /** Per-run key-column min/max synopsis (paper §4.2). */
 class SynopsisSpec extends AnyFunSuite {
 
-  test("ofEntries computes per-column min/max") {
-    val s = Synopsis.ofEntries(I1, Seq(
-      entry(4, 10, 1), entry(8, 2, 1), entry(1, 7, 1)))
+  test("run build computes per-column min/max") {
+    val s = buildRun(I1, Seq(
+      entry(4, 10, 1), entry(8, 2, 1), entry(1, 7, 1))).synopsis
     assert(s.mins.toSeq == Seq(1L, 2L))
     assert(s.maxs.toSeq == Seq(8L, 10L))
   }
@@ -16,9 +16,9 @@ class SynopsisSpec extends AnyFunSuite {
   test("paper Figure 2 header synopsis: msg [0,2], device [1,8]") {
     // Fig 2a rows: device values {1,8,4,4,4,5,3,3}, msg values {1,2,1,1,2,1,0,1}
     val rows = Seq((1L, 1L), (8L, 2L), (4L, 1L), (4L, 1L), (4L, 2L), (5L, 1L), (3L, 0L), (3L, 1L))
-    val s = Synopsis.ofEntries(I1, rows.zipWithIndex.map { case ((d, m), i) =>
+    val s = buildRun(I1, rows.zipWithIndex.map { case ((d, m), i) =>
       entry(d, m, 100 + i)
-    })
+    }).synopsis
     assert(s.mins(0) == 1L && s.maxs(0) == 8L) // device range [1,8]
     assert(s.mins(1) == 0L && s.maxs(1) == 2L) // msg range [0,2]
   }
@@ -31,30 +31,9 @@ class SynopsisSpec extends AnyFunSuite {
     assert(!s.overlaps(0, 0, 4) && !s.overlaps(0, 11, 20))
   }
 
-  test("union takes elementwise min/max") {
-    val a = Synopsis(Array(0L, 5L), Array(10L, 6L))
-    val b = Synopsis(Array(3L, 1L), Array(12L, 2L))
-    val u = a.union(b)
-    assert(u.mins.toSeq == Seq(0L, 1L))
-    assert(u.maxs.toSeq == Seq(12L, 6L))
-  }
-
-  test("empty synopsis is the union identity") {
-    val a = Synopsis(Array(2L), Array(9L))
-    val e = Synopsis.empty(1)
-    assert(e.union(a) == a)
-    assert(a.union(e) == a)
-  }
-
   test("empty synopsis overlaps nothing") {
-    val e = Synopsis.empty(2)
+    val e = buildRun(I1, Seq.empty).synopsis
     assert(!e.contains(0, 0))
     assert(!e.overlaps(1, Long.MinValue + 1, Long.MaxValue - 1))
-  }
-
-  test("union rejects arity mismatch") {
-    intercept[IllegalArgumentException] {
-      Synopsis.empty(1).union(Synopsis.empty(2))
-    }
   }
 }

@@ -139,6 +139,54 @@ class UmziDataSourceSpec extends SparkSpec {
     assert(raw.toSeq == Seq(200L))
   }
 
+  test("raw time travel returns exactly the version visible at each beginTS") {
+    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    // one key through three PSNs; the middle PSN carries two versions, so
+    // both the delta endTS and the block endTS column decide visibility
+    val versions = Seq(Seq(100L), Seq(200L, 300L), Seq(400L)).flatMap { psnValues =>
+      val vs = psnValues.map { v =>
+        shard.ingest(Seq(Upsert(7, 7, v, 0))); shard.groomOnce()
+        shard.lookup(7, 7).get.beginTS -> v
+      }
+      shard.postGroomOnce(); shard.indexerPoll()
+      vs
+    }
+    assert(shard.indexer.indexedPsn == 2)
+    import spark.implicits._
+    val root = shard.sharedRoot.toString
+    def rawValues(ts: Long): Seq[Long] =
+      UmziSnapshot.raw(spark, root, ts).select($"value").as[Long].collect().toSeq
+    assert(rawValues(versions.head._1 - 1).isEmpty)
+    versions.zip(versions.drop(1).map(_._1 - 1) :+ Long.MaxValue).foreach {
+      case ((ts, value), lastTs) =>
+        assert(rawValues(ts) == Seq(value), s"at beginTS $ts")
+        assert(rawValues(lastTs) == Seq(value), s"at $lastTs, before the next version")
+    }
+  }
+
+  test("a shard root containing a quote scans like any other") {
+    val shard = new Shard(spark, Files.createTempDirectory("umzi-o'brien"))
+    val model = scala.collection.mutable.Map.empty[(Long, Long), Long]
+    def cycle(ups: Seq[Upsert]): Unit = {
+      shard.ingest(ups); shard.groomOnce()
+      ups.foreach(u => model((u.deviceId, u.msgNum)) = u.value)
+    }
+    cycle((0 until 10).map(i => Upsert(1, i, i, i)))
+    shard.postGroomOnce(); shard.indexerPoll()
+    // replaces post-groomed rows, so an endTS delta file is read too
+    cycle((0 until 5).map(i => Upsert(1, i, 100 + i, i)))
+    shard.postGroomOnce(); shard.indexerPoll()
+    cycle((0 until 10).map(i => Upsert(2, i, i, i))) // groomed only
+    val root = shard.sharedRoot.toString
+    assert(root.contains("'"))
+    assert(UmziSnapshot.raw(spark, root).count() == model.size)
+    import spark.implicits._
+    val snap = UmziSnapshot.scan(spark, root)
+      .select($"deviceId", $"msgNum", $"value").as[(Long, Long, Long)].collect()
+    assert(snap.length == model.size)
+    assert(snap.map { case (d, m, v) => (d, m) -> v }.toMap == model.toMap)
+  }
+
   test("missing path option fails clearly") {
     intercept[Exception] {
       spark.read.format("umzi").load().collect()
