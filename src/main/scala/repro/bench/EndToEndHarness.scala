@@ -63,8 +63,12 @@ object EndToEndHarness {
     val workload = new Workload(cfg.nDevices, sequentialKeys = false,
       cfg.updatePercent, cfg.seed)
 
-    // all ingested primary keys so far, republished each cycle for readers
-    @volatile var publishedKeys: Array[(Long, Long)] = Array((0L, 0L))
+    // every ingested primary key, appended in place; readers sample slots
+    // [0, published), or slot 0 before the first cycle publishes
+    val keyDevices = new Array[Long](math.max(1, Math.multiplyExact(cfg.cyclesTotal, cfg.recordsPerCycle)))
+    val keyMsgs = new Array[Long](keyDevices.length)
+    var appended = 0
+    @volatile var published = 0
     @volatile var currentCycle = 0
     val stopped = new AtomicBoolean(false)
     val samples = new ConcurrentLinkedQueue[Sample]()
@@ -73,10 +77,10 @@ object EndToEndHarness {
       new Thread(() => {
         val rng = new scala.util.Random(cfg.seed + 1000 + rid)
         while (!stopped.get()) {
-          val keys = publishedKeys
+          val n = math.max(published, 1)
           val batch = Array.fill(cfg.lookupBatchSize) {
-            val (d, m) = keys(rng.nextInt(keys.length))
-            (Array(d), Array(m))
+            val s = rng.nextInt(n)
+            (Array(keyDevices(s)), Array(keyMsgs(s)))
           }
           val cycle = currentCycle
           val (nanos, _) = BenchUtil.cost(cache) {
@@ -90,7 +94,6 @@ object EndToEndHarness {
 
     // retained groomed entries per block, for later evolve
     val groomedEntries = mutable.Map.empty[Long, Array[IndexEntry]]
-    val allKeys = mutable.ArrayBuffer.empty[(Long, Long)]
     var coveredHi = -1L
     var postBlockId = 1_000_000L
 
@@ -104,8 +107,12 @@ object EndToEndHarness {
       }
       groomedEntries(cycle.toLong) = es
       index.addGroomedRun(es, BlockRange(cycle, cycle))
-      allKeys ++= batch.map(u => (u.deviceId, u.msgNum))
-      publishedKeys = allKeys.toArray
+      batch.foreach { u =>
+        keyDevices(appended) = u.deviceId
+        keyMsgs(appended) = u.msgNum
+        appended += 1
+      }
+      published = appended
 
       if (cfg.postGroomEnabled && (cycle + 1) % cfg.postGroomEvery == 0) {
         // post-groom + evolve: re-point covered blocks' entries to the

@@ -85,18 +85,12 @@ object KeyCodec {
     h
   }
 
-  /** Unsigned lexicographic comparison of `len` bytes at the given offsets. */
+  /** Unsigned lexicographic comparison of `len` bytes at the given offsets;
+    * only the sign of the result is meaningful.
+    */
   def compareUnsigned(
       a: Array[Byte], aPos: Int,
       b: Array[Byte], bPos: Int,
-      len: Int): Int = {
-    var i = 0
-    while (i < len) {
-      val x = a(aPos + i) & 0xff
-      val y = b(bPos + i) & 0xff
-      if (x != y) return x - y
-      i += 1
-    }
-    0
-  }
+      len: Int): Int =
+    java.util.Arrays.compareUnsigned(a, aPos, aPos + len, b, bPos, bPos + len)
 }

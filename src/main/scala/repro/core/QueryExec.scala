@@ -125,7 +125,10 @@ object QueryExec {
     val encoded = new Array[(Option[Long], Array[Byte])](n)
     var i = 0
     while (i < n) { encoded(i) = encodeKey(defn, keys(i)._1, keys(i)._2); i += 1 }
-    val order = (0 until n).sortBy(i => encoded(i)._2)(ByteArrayOrdering).toArray
+    // input positions in unsigned key order; the object sort is stable, so
+    // equal keys keep their input order
+    val order = Array.tabulate[Integer](n)(Int.box)
+    Arrays.sort(order, (a: Integer, b: Integer) => Arrays.compareUnsigned(encoded(a)._2, encoded(b)._2))
     val results = new Array[Option[IndexEntry]](n)
     Arrays.fill(results.asInstanceOf[Array[AnyRef]], None)
     var remaining = n
@@ -134,7 +137,7 @@ object QueryExec {
       val run = runs(r)
       var k = 0
       while (k < n && remaining > 0) {
-        val idx = order(k)
+        val idx: Int = order(k)
         if (results(idx).isEmpty &&
             runMayMatch(run, keys(idx)._1, keys(idx)._2, keys(idx)._2)) {
           val hit = run.pointLookup(encoded(idx)._1, encoded(idx)._2, queryTS, context)
@@ -145,13 +148,5 @@ object QueryExec {
       r += 1
     }
     results
-  }
-
-  /** Unsigned lexicographic ordering for encoded key byte arrays. */
-  object ByteArrayOrdering extends Ordering[Array[Byte]] {
-    override def compare(a: Array[Byte], b: Array[Byte]): Int = {
-      val c = Arrays.compareUnsigned(a, b)
-      c
-    }
   }
 }

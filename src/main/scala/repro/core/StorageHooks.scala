@@ -47,13 +47,38 @@ object StorageHooks {
   * fetched for one key in a batch costs nothing for later keys (paper §8.3.2
   * — "once an index block is fetched into memory for the lookup of a
   * particular key, no additional I/O is required ... for other keys").
+  *
+  * Each run gets one bit per data block, found through the last run touched
+  * (a batch probes one run at a time) and, on a run switch, a map keyed by
+  * run id, so run objects that share an id share their bits. A touch
+  * allocates nothing.
   */
 final class ReadContext(hooks: StorageHooks) {
-  private val seen = scala.collection.mutable.HashSet.empty[(Long, Int)]
+  private val bitsByRunId = scala.collection.mutable.LongMap.empty[Array[Long]]
+  private var lastRun: IndexRun = _
+  private var lastBits: Array[Long] = _
+  private var touched = 0
 
-  def touch(run: IndexRun, blockIdx: Int): Unit =
-    if (seen.add((run.id, blockIdx))) hooks.onBlockAccess(run, blockIdx)
+  def touch(run: IndexRun, blockIdx: Int): Unit = {
+    if (run ne lastRun) { lastBits = bitsOf(run); lastRun = run }
+    val word = blockIdx >>> 6
+    val bit = 1L << blockIdx // the shift uses the low 6 bits of blockIdx
+    if ((lastBits(word) & bit) == 0) {
+      lastBits(word) |= bit
+      touched += 1
+      hooks.onBlockAccess(run, blockIdx)
+    }
+  }
+
+  private def bitsOf(run: IndexRun): Array[Long] = {
+    var bits = bitsByRunId.getOrNull(run.id)
+    if (bits == null) {
+      bits = new Array[Long]((run.numDataBlocks + 63) >>> 6)
+      bitsByRunId.update(run.id, bits)
+    }
+    bits
+  }
 
   /** Number of distinct (run, block) pairs touched so far. */
-  def blocksTouched: Int = seen.size
+  def blocksTouched: Int = touched
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -107,5 +109,48 @@ class KeyCodecSpec extends AnyFunSuite {
     val b = Array[Byte](0, 1, 2, 4)
     assert(KeyCodec.compareUnsigned(a, 1, b, 1, 2) == 0)
     assert(KeyCodec.compareUnsigned(a, 1, b, 1, 3) < 0)
+  }
+
+  /** Byte-at-a-time unsigned comparison: the reference for compareUnsigned. */
+  private def referenceCompare(a: Array[Byte], aPos: Int, b: Array[Byte], bPos: Int, len: Int): Int = {
+    var i = 0
+    while (i < len) {
+      val x = a(aPos + i) & 0xff
+      val y = b(bPos + i) & 0xff
+      if (x != y) return x - y
+      i += 1
+    }
+    0
+  }
+
+  test("compareUnsigned agrees in sign with a byte-by-byte compare") {
+    // two slices that share a random-length prefix, drawn from a small
+    // alphabet that straddles 0x80 so equal bytes and high bytes are common
+    val alphabet = Array[Byte](0, 1, 0x7f, -0x80, -0x7f, -1)
+    val slices = for {
+      len <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 40))
+      common <- Gen.choose(0, len)
+      aPos <- Gen.choose(0, 9)
+      bPos <- Gen.choose(0, 9)
+      a <- Gen.containerOfN[Array, Byte](aPos + len + 3, Gen.oneOf(alphabet.toSeq))
+      b <- Gen.containerOfN[Array, Byte](bPos + len + 3, Gen.oneOf(alphabet.toSeq))
+    } yield {
+      System.arraycopy(a, aPos, b, bPos, common)
+      (a, aPos, b, bPos, len)
+    }
+    val prop = Prop.forAll(slices) { case (a, aPos, b, bPos, len) =>
+      Integer.signum(KeyCodec.compareUnsigned(a, aPos, b, bPos, len)) ==
+        Integer.signum(referenceCompare(a, aPos, b, bPos, len)) &&
+        Integer.signum(KeyCodec.compareUnsigned(b, bPos, a, aPos, len)) ==
+        Integer.signum(referenceCompare(b, bPos, a, aPos, len))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("compareUnsigned of an empty slice is 0") {
+    val a = Array[Byte](1, 2)
+    val b = Array[Byte](-1)
+    assert(KeyCodec.compareUnsigned(a, 2, b, 0, 0) == 0)
   }
 }

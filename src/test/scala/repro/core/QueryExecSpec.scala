@@ -174,6 +174,38 @@ class QueryExecSpec extends AnyFunSuite {
       s"batch=${batchCtx.blocksTouched} individual=$individual")
   }
 
+  test("batch lookup reads the blocks of per-key probes in stable key order") {
+    val (index, _) = populate(seed = 29, nBatches = 12, batchSize = 60, evolveEvery = 5)
+    val r = new Random(106)
+    // duplicates and misses included
+    val keys = Array.fill(300)((Array(r.nextInt(7).toLong), Array(r.nextInt(45).toLong)))
+    val runs = index.visibleRuns()
+    def recorder(log: mutable.ArrayBuffer[(Long, Int)]) = new ReadContext(new StorageHooks {
+      override def onRunCreated(run: IndexRun, persisted: Boolean): Unit = ()
+      override def onRunsDetached(runIds: Seq[Long]): Unit = ()
+      override def onSharedDeleted(runIds: Seq[Long]): Unit = ()
+      override def onBlockAccess(run: IndexRun, blockIdx: Int): Unit = log += ((run.id, blockIdx))
+    })
+    val got = mutable.ArrayBuffer.empty[(Long, Int)]
+    val results = QueryExec.batchLookupIn(runs, I1, keys, Long.MaxValue, recorder(got))
+    // reference: stable sort of the encoded keys, runs newest first, each
+    // key probed until found
+    val want = mutable.ArrayBuffer.empty[(Long, Int)]
+    val refCtx = recorder(want)
+    val encoded = keys.map { case (eq, sort) => QueryExec.encodeKey(I1, eq, sort) }
+    val order = keys.indices.sortBy(i => encoded(i)._2)(
+      Ordering.comparatorToOrdering((a: Array[Byte], b: Array[Byte]) => java.util.Arrays.compareUnsigned(a, b)))
+    val found = Array.fill[Option[IndexEntry]](keys.length)(None)
+    runs.foreach { run =>
+      order.foreach { i =>
+        if (found(i).isEmpty && QueryExec.runMayMatch(run, keys(i)._1, keys(i)._2, keys(i)._2))
+          found(i) = run.pointLookup(encoded(i)._1, encoded(i)._2, Long.MaxValue, refCtx)
+      }
+    }
+    assert(got == want)
+    assert(results.toSeq == found.toSeq)
+  }
+
   test("synopsis pruning never changes results") {
     // narrow per-run key ranges so pruning bites, then verify vs model
     val index = new UmziIndex(UmziConfig(I1, maxRunsPerLevel = 100, sizeRatio = 4,
