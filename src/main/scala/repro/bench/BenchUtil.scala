@@ -27,12 +27,6 @@ object BenchUtil {
     (wall + cache.threadSimulatedNanos, r)
   }
 
-  /** Median of repeated runs, to damp JIT/GC noise. */
-  def medianCost(cache: CacheManager, reps: Int)(body: => Unit): Long = {
-    val xs = (0 until reps).map(_ => cost(cache)(body)._1).sorted
-    xs(xs.length / 2)
-  }
-
   def fmt(v: Double): String =
     if (v >= 1000) f"$v%.0f"
     else if (v >= 10) f"$v%.1f"

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.bench.BenchUtil.{fmt, printTable}
+import repro.bench.MicroBenches.{LookupCell, SingleRunRow}
 
 /** Renders each evaluation figure of the paper as a printed table of
   * normalized numbers (the paper reports normalized values only, §8), and
@@ -70,23 +71,37 @@ object FigureTables {
 
   // ------------------------------------------------------------------ Fig 9
 
-  def fig9(sizes: Seq[Int]): Map[(Int, String, String), Double] = {
+  /** Fig 9 per (#tuples, "seq"|"rand", definition): the normalized cost of
+    * the printed tables, and the absolute wall nanos and distinct blocks
+    * per batch, which the cost mixes with simulated I/O.
+    */
+  final case class Fig9(
+      cost: Map[(Int, String, String), Double],
+      wallNanos: Map[(Int, String, String), Long],
+      blocks: Map[(Int, String, String), Long])
+
+  def fig9(sizes: Seq[Int]): Fig9 = {
     val rows = MicroBenches.runSingleRun(sizes)
-    val base = rows.head.seqNanos("I1").toDouble
-    val data = (for {
+    val base = rows.head.seq("I1").costNanos.toDouble
+    val cells = for {
       r <- rows
-      (mode, m) <- Seq("seq" -> r.seqNanos, "rand" -> r.randNanos)
-      (name, nanos) <- m
-    } yield (r.n, mode, name) -> nanos / base).toMap
-    printTable("Table F9a (paper Fig 9a): single-run lookup, sequential queries, normalized to seq-I1@1K",
+      (mode, m) <- Seq("seq" -> r.seq, "rand" -> r.rand)
+      (name, cell) <- m
+    } yield (r.n, mode, name) -> cell
+    def table(title: String, pick: SingleRunRow => Map[String, LookupCell]): Unit =
+      printTable(title, Seq("#tuples", "I1", "I2", "I3"),
+        rows.map(r => r.n.toString +: Seq("I1", "I2", "I3").map(d => fmt(pick(r)(d).costNanos / base))))
+    table("Table F9a (paper Fig 9a): single-run lookup, sequential queries, normalized to seq-I1@1K", _.seq)
+    table("Table F9b (paper Fig 9b): single-run lookup, random queries, normalized to seq-I1@1K", _.rand)
+    printTable("Table F9c: single-run lookup batch, absolute wall us / distinct blocks per batch (seq; rand)",
       Seq("#tuples", "I1", "I2", "I3"),
-      rows.map(r => Seq(r.n.toString,
-        fmt(r.seqNanos("I1") / base), fmt(r.seqNanos("I2") / base), fmt(r.seqNanos("I3") / base))))
-    printTable("Table F9b (paper Fig 9b): single-run lookup, random queries, normalized to seq-I1@1K",
-      Seq("#tuples", "I1", "I2", "I3"),
-      rows.map(r => Seq(r.n.toString,
-        fmt(r.randNanos("I1") / base), fmt(r.randNanos("I2") / base), fmt(r.randNanos("I3") / base))))
-    data
+      rows.map(r => r.n.toString +: Seq("I1", "I2", "I3").map { d =>
+        val (s, q) = (r.seq(d), r.rand(d))
+        s"${fmt(s.wallNanos / 1e3)}/${s.blocks}; ${fmt(q.wallNanos / 1e3)}/${q.blocks}"
+      }))
+    Fig9(cells.map { case (k, c) => k -> c.costNanos / base }.toMap,
+      cells.map { case (k, c) => k -> c.wallNanos }.toMap,
+      cells.map { case (k, c) => k -> c.blocks }.toMap)
   }
 
   // -------------------------------------------------------------- Fig 10/11

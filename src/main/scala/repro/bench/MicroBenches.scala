@@ -46,7 +46,12 @@ object MicroBenches {
 
   // ------------------------------------------------------------------ Fig 9
 
-  final case class SingleRunRow(n: Int, seqNanos: Map[String, Long], randNanos: Map[String, Long])
+  /** One Fig 9 cell, medians over the batches: wall plus simulated cost,
+    * wall time alone, and distinct index blocks the batch touched.
+    */
+  final case class LookupCell(costNanos: Long, wallNanos: Long, blocks: Long)
+
+  final case class SingleRunRow(n: Int, seq: Map[String, LookupCell], rand: Map[String, LookupCell])
 
   /** Figure 9: batch of 1000 point lookups against a single run of varying
     * size, sequential vs random query keys, per index definition.
@@ -68,12 +73,19 @@ object MicroBenches {
         val bi = RunFactory.buildIndex(defn, nRuns = 1, entriesPerRun = n,
           sequential = true, seed = seed)
         val rng = new Random(seed + n)
-        def batchCost(sequential: Boolean): Long =
-          BenchUtil.medianCost(bi.cache, reps = 5) {
-            val ks = RunFactory.lookupBatch(bi.ingestedKeys, batchSize, sequential, rng)
-            QueryExec.batchLookup(bi.index, ks.map(RunFactory.toLookupKey(defn, _)), Long.MaxValue)
+        def batchCell(sequential: Boolean): LookupCell = {
+          val samples = (0 until 5).map { _ =>
+            val ctx = bi.index.newReadContext()
+            val (cost, _) = BenchUtil.cost(bi.cache) {
+              val ks = RunFactory.lookupBatch(bi.ingestedKeys, batchSize, sequential, rng)
+              QueryExec.batchLookup(bi.index, ks.map(RunFactory.toLookupKey(defn, _)), Long.MaxValue, ctx)
+            }
+            (cost, cost - bi.cache.threadSimulatedNanos, ctx.blocksTouched.toLong)
           }
-        name -> ((batchCost(true), batchCost(false)))
+          def median(xs: Seq[Long]): Long = xs.sorted.apply(xs.length / 2)
+          LookupCell(median(samples.map(_._1)), median(samples.map(_._2)), median(samples.map(_._3)))
+        }
+        name -> ((batchCell(true), batchCell(false)))
       }
       SingleRunRow(n,
         perDef.map { case (k, v) => k -> v._1 }.toMap,

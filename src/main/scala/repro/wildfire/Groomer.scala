@@ -1,8 +1,6 @@
 package repro.wildfire
 
 import java.nio.file.{Files, Path}
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** The groomer (paper §2.1): migrates data from the live zone to the
@@ -16,7 +14,6 @@ import repro.core._
   * (paper §5.2).
   */
 final class Groomer(
-    spark: SparkSession,
     groomedDir: Path,
     index: UmziIndex) {
 
@@ -35,36 +32,37 @@ final class Groomer(
     */
   def groom(upserts: Array[Upsert], groomSeq: Long, blockId: Long): Option[BlockMeta] = {
     if (upserts.isEmpty) return None
-    import spark.implicits._
 
     // Merge in time order and assign monotonic beginTS; the record offset in
     // the block is its position in commit order, which fixes its RID.
     val rows = upserts.sortBy(_.commitSeq).zipWithIndex.map { case (u, off) =>
-      (u.deviceId, u.msgNum, u.value, beginTsOf(groomSeq, u.commitSeq), off.toLong)
+      Array(u.deviceId, u.msgNum, u.value, beginTsOf(groomSeq, u.commitSeq), off.toLong)
     }
-    val df: DataFrame = rows.toSeq
-      .toDF("deviceId", "msgNum", "value", "beginTS", "offset")
-
     val file = groomedDir.resolve(s"block-$blockId.parquet")
-    ParquetIo.writeSingleFile(df.sort($"offset"), file)
+    ParquetIo.writeLongRows(file, Groomer.Columns, rows)
 
     val meta = BlockMeta(
       zone = ZoneId.Groomed.name,
       blockId = blockId,
       file = file.toString,
       count = rows.length,
-      minDevice = rows.iterator.map(_._1).min,
-      maxDevice = rows.iterator.map(_._1).max,
-      minMsg = rows.iterator.map(_._2).min,
-      maxMsg = rows.iterator.map(_._2).max)
+      minDevice = rows.iterator.map(_(0)).min,
+      maxDevice = rows.iterator.map(_(0)).max,
+      minMsg = rows.iterator.map(_(1)).min,
+      maxMsg = rows.iterator.map(_(1)).max)
     meta.write(groomedDir.resolve(s"block-$blockId.blockmeta"))
 
     // Index build over the newly groomed block (paper §5.2).
-    val entries = rows.map { case (device, msg, value, ts, off) =>
+    val entries = rows.map { case Array(device, msg, value, ts, off) =>
       IndexEntry(Array(device), Array(msg), ts,
         Rid(ZoneId.Groomed, blockId, off.toInt), Array(value))
     }
     index.addGroomedRun(entries, BlockRange(blockId, blockId))
     Some(meta)
   }
+}
+
+object Groomer {
+  /** Columns of a groomed block file, in file order. */
+  val Columns: Seq[String] = Seq("deviceId", "msgNum", "value", "beginTS", "offset")
 }

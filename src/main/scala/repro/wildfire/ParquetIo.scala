@@ -1,48 +1,65 @@
 package repro.wildfire
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import org.apache.hadoop.conf.Configuration
 import org.apache.parquet.conf.HadoopParquetConfiguration
 import org.apache.parquet.example.data.Group
-import org.apache.parquet.hadoop.ParquetReader
+import org.apache.parquet.example.data.simple.SimpleGroupFactory
+import org.apache.parquet.hadoop.{ParquetFileWriter, ParquetReader}
 import org.apache.parquet.hadoop.api.{InitContext, ReadSupport}
-import org.apache.parquet.hadoop.example.GroupReadSupport
-import org.apache.parquet.io.LocalInputFile
-import org.apache.parquet.schema.{MessageType, Type}
-import org.apache.spark.sql.DataFrame
+import org.apache.parquet.hadoop.example.{ExampleParquetWriter, GroupReadSupport}
+import org.apache.parquet.hadoop.metadata.CompressionCodecName
+import org.apache.parquet.io.{LocalInputFile, LocalOutputFile}
+import org.apache.parquet.schema.{MessageType, PrimitiveType, Type, Types}
 import scala.jdk.CollectionConverters._
 
 /** Reads and writes one logical zone block as exactly one Parquet file.
   *
   * Wildfire prefers a small number of large files on shared storage (paper
   * §1); each groomed / post-groomed block is a single Parquet file whose
-  * path is recorded in its [[BlockMeta]] sidecar.
+  * path is recorded in its [[BlockMeta]] sidecar. Both directions run in
+  * process with parquet-mr, without a Spark job.
   */
 object ParquetIo {
-
-  /** Write `df` as a single Parquet file at `target` (atomic move from a
-    * temporary Spark output directory).
-    */
-  def writeSingleFile(df: DataFrame, target: Path): Unit = {
-    val tmpDir = Files.createTempDirectory(target.getParent, ".spark-out")
-    // coalesce(1): one block = one file, as Wildfire's groomer produces
-    df.coalesce(1).write.mode("overwrite").parquet(tmpDir.toString)
-    val part = Files.list(tmpDir).iterator().asScala
-      .find(p => p.getFileName.toString.startsWith("part-") &&
-        p.getFileName.toString.endsWith(".parquet"))
-      .getOrElse(throw new IllegalStateException(s"no part file in $tmpDir"))
-    Files.move(part, target, java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-    // clean the temporary directory (best-effort)
-    Files.walk(tmpDir).iterator().asScala.toSeq.reverse.foreach(p => Files.deleteIfExists(p))
-  }
 
   // Shared so that opening a block does not parse the Hadoop defaults again
   // (a fresh Configuration costs more than reading a small block).
   private lazy val conf = new HadoopParquetConfiguration(new Configuration())
 
+  /** Write `rows` as the single Parquet file `target`: one `required int64`
+    * column per name in `cols`, in that order, row `r` holding `rows(r)`;
+    * SNAPPY-compressed, as Spark writes. The file is written under a
+    * temporary name in the same directory (dot-prefixed, `.tmp` suffix, so
+    * no block or delta listing matches it) and atomically renamed, so a
+    * crash never leaves a torn file under a block name.
+    */
+  def writeLongRows(target: Path, cols: Seq[String], rows: Array[Array[Long]]): Unit = {
+    val schema = new MessageType("block",
+      cols.map(c => Types.required(PrimitiveType.PrimitiveTypeName.INT64).named(c): Type).asJava)
+    val tmp = Files.createTempFile(target.getParent, s".${target.getFileName}.", ".tmp")
+    try {
+      val writer = ExampleParquetWriter.builder(new LocalOutputFile(tmp))
+        .withConf(conf)
+        .withType(schema)
+        .withCompressionCodec(CompressionCodecName.SNAPPY)
+        .withWriteMode(ParquetFileWriter.Mode.OVERWRITE)
+        .build()
+      try {
+        val groups = new SimpleGroupFactory(schema)
+        rows.foreach { r =>
+          require(r.length == cols.length, s"row of ${r.length} values for ${cols.length} columns")
+          val g = groups.newGroup()
+          var c = 0
+          while (c < r.length) { g.add(c, r(c)); c += 1 }
+          writer.write(g)
+        }
+      } finally writer.close()
+      Files.move(tmp, target, StandardCopyOption.ATOMIC_MOVE)
+    } finally Files.deleteIfExists(tmp)
+  }
+
   /** The long columns `cols` of every row of the block file `file`, in file
-    * order: row `r` is `Array(cols(0)-value, cols(1)-value, ...)`. Read in
-    * process with parquet-mr, without a Spark job.
+    * order: row `r` is `Array(cols(0)-value, cols(1)-value, ...)`.
     */
   def readLongRows(file: String, cols: String*): Array[Array[Long]] = {
     val reader = new ParquetReader.Builder[Group](new LocalInputFile(Paths.get(file)), conf) {

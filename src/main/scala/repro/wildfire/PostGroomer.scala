@@ -2,11 +2,8 @@ package repro.wildfire
 
 import java.nio.file.{Files, Path}
 import java.util.Properties
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.core._
-import scala.jdk.CollectionConverters._
+import scala.collection.mutable.ArrayBuffer
 
 /** Result of one post-groom operation (paper §2.1, §5.4). */
 final case class PostGroomResult(
@@ -29,7 +26,6 @@ final case class PostGroomResult(
   *  4. publishes the PSN metadata and bumps MaxPSN for the indexer to poll.
   */
 final class PostGroomer(
-    spark: SparkSession,
     sharedRoot: Path,
     index: UmziIndex,
     targetBlocksPerPostGroom: Int = 4) {
@@ -60,118 +56,104 @@ final class PostGroomer(
     */
   def postGroom(groomedMetas: Seq[BlockMeta]): Option[PostGroomResult] = {
     if (groomedMetas.isEmpty) return None
-    import spark.implicits._
     val (maxPsn, coveredHi, nextBlockId) = readState()
     val psn = maxPsn + 1
     val newCoveredLo = groomedMetas.map(_.blockId).min
     val newCoveredHi = groomedMetas.map(_.blockId).max
     require(newCoveredLo > coveredHi, s"groomed blocks $newCoveredLo..$newCoveredHi already covered")
 
-    // Scan the newly groomed blocks.
-    val raw: DataFrame = groomedMetas.map { m =>
-      spark.read.parquet(m.file)
-        .select($"deviceId", $"msgNum", $"value", $"beginTS")
-    }.reduce(_ unionByName _)
+    // Scan the newly groomed blocks: rows of (deviceId, msgNum, value, beginTS).
+    val raw = groomedMetas.toArray.flatMap(m =>
+      ParquetIo.readLongRows(m.file, "deviceId", "msgNum", "value", "beginTS"))
+
+    // The partition key: contiguous msgNum ranges sized to produce
+    // `targetBlocksPerPostGroom` larger blocks (the floor of a double
+    // quotient, as SQL's `floor(a / b)` computes it).
+    val minMsg = raw.iterator.map(_(1)).min
+    val width = math.max(1L, (raw.iterator.map(_(1)).max - minMsg + 1) / targetBlocksPerPostGroom)
+    def partKey(msg: Long): Long = math.floor((msg - minMsg).toDouble / width).toLong
+
+    // One stable sort by (partKey, deviceId, msgNum, beginTS): each output
+    // block is a contiguous slice in offset order, and the versions of a key
+    // are adjacent, oldest first.
+    val byPartKeyAndVersion: Ordering[Array[Long]] = (a, b) => {
+      val c = java.lang.Long.compare(partKey(a(1)), partKey(b(1)))
+      if (c != 0) c
+      else if (a(0) != b(0)) java.lang.Long.compare(a(0), b(0))
+      else if (a(1) != b(1)) java.lang.Long.compare(a(1), b(1))
+      else java.lang.Long.compare(a(3), b(3))
+    }
+    val rows = raw.sorted(byPartKeyAndVersion)
+    def olderVersionAt(i: Int): Boolean = i > 0 && rows(i)(0) == rows(i - 1)(0) && rows(i)(1) == rows(i - 1)(1)
 
     // 1. Use the post-groomed portion of the index to find the most recent
-    //    already-post-groomed version of each incoming primary key.
-    val pks = raw.select($"deviceId", $"msgNum").distinct().as[(Long, Long)].collect()
-    val defn = index.config.defn
-    val ctx = index.newReadContext()
+    //    already-post-groomed version of each incoming primary key, keyed by
+    //    the row of the key's oldest new version.
+    val firsts = rows.indices.filterNot(olderVersionAt).toArray
     val lookedUp = QueryExec.batchLookupIn(
-      index.postGroomedList.snapshot, defn,
-      pks.map { case (d, m) => (Array(d), Array(m)) },
-      Long.MaxValue, ctx)
-    val replaced: Seq[((Long, Long), IndexEntry)] =
-      pks.zip(lookedUp).collect { case (pk, Some(e)) => (pk, e) }.toSeq
+      index.postGroomedList.snapshot, index.config.defn,
+      firsts.map(i => (Array(rows(i)(0)), Array(rows(i)(1)))),
+      Long.MaxValue, index.newReadContext())
+    val replaced: Map[Int, IndexEntry] =
+      firsts.iterator.zip(lookedUp).collect { case (i, Some(e)) => i -> e }.toMap
 
-    // 2a. endTS delta for the replaced post-groomed records: endTS is the
-    //     earliest new beginTS of the same key.
+    // 2. One pass assigns block IDs (partition keys in sorted order from
+    //    nextBlockId), offsets, endTS (the next version's beginTS) and the
+    //    prevRID chain: a key's oldest new version points at the replaced
+    //    post-groomed record (if any), every later one at its predecessor.
+    val out = new Array[Array[Long]](rows.length)
+    val starts = ArrayBuffer.empty[Int] // first row of each output block
+    var off = 0L
+    var i = 0
+    while (i < rows.length) {
+      val Array(device, msg, value, beginTS) = rows(i)
+      if (i == 0 || partKey(msg) != partKey(rows(i - 1)(1))) { starts += i; off = 0L }
+      val (pZone, pBlock, pOffset) =
+        if (olderVersionAt(i)) {
+          out(i - 1)(4) = beginTS
+          (ZoneId.PostGroomed.code.toLong, nextBlockId + starts.length - 1, off - 1)
+        } else replaced.get(i) match {
+          case Some(e) => (e.rid.zone.code.toLong, e.rid.blockId, e.rid.offset.toLong)
+          case None => (-1L, -1L, -1L)
+        }
+      out(i) = Array(device, msg, value, beginTS, Long.MaxValue, pZone, pBlock, pOffset, off)
+      off += 1
+      i += 1
+    }
+
+    // 3. endTS delta for the replaced post-groomed records, appended since
+    //    shared storage forbids in-place updates: endTS is the earliest new
+    //    beginTS of the same key.
     if (replaced.nonEmpty) {
-      val firstNewTs = raw.groupBy($"deviceId", $"msgNum")
-        .agg(min($"beginTS") as "firstTs")
-        .as[(Long, Long, Long)].collect()
-        .map { case (d, m, ts) => (d, m) -> ts }.toMap
-      val deltaRows = replaced.map { case (pk, e) =>
-        (e.rid.blockId, e.rid.offset.toLong, firstNewTs(pk))
-      }
-      ParquetIo.writeSingleFile(
-        deltaRows.toDF("blockId", "offset", "endTS"),
-        endtsDir.resolve(s"psn-$psn.parquet"))
+      val delta = replaced.toArray
+        .map { case (first, e) => Array(e.rid.blockId, e.rid.offset.toLong, rows(first)(3)) }
+        .sortBy(r => (r(0), r(1)))
+      ParquetIo.writeLongRows(endtsDir.resolve(s"psn-$psn.parquet"), Seq("blockId", "offset", "endTS"), delta)
     }
 
-    // 2b. prevRID for the oldest new version of each key comes from the
-    //     index lookup; newer versions chain within the batch.
-    val prevFromIndex = replaced.map { case ((d, m), e) =>
-      (d, m, e.rid.zone.code.toLong, e.rid.blockId, e.rid.offset.toLong)
-    }.toDF("deviceId", "msgNum", "pZone", "pBlock", "pOffset")
-
-    // 3. Re-organize by the partition key: contiguous msgNum ranges sized to
-    //    produce `targetBlocksPerPostGroom` larger blocks.
-    val msgBounds = raw.agg(min($"msgNum"), max($"msgNum")).as[(Long, Long)].head()
-    val width = math.max(1L, (msgBounds._2 - msgBounds._1 + 1) / targetBlocksPerPostGroom)
-    val pkWin = Window.partitionBy($"deviceId", $"msgNum").orderBy($"beginTS")
-    val withPart = raw
-      .withColumn("partKey", floor(($"msgNum" - lit(msgBounds._1)) / lit(width)))
-      .withColumn("verRank", row_number().over(pkWin))
-      .withColumn("endTS",
-        coalesce(lead($"beginTS", 1).over(pkWin), lit(Long.MaxValue)))
-
-    val partKeys = withPart.select($"partKey").distinct().as[Long].collect().sorted
-    val blockIdOf = partKeys.zipWithIndex.map { case (pk, i) => pk -> (nextBlockId + i) }.toMap
-    val bidDf = blockIdOf.toSeq.toDF("partKey", "blockId")
-
-    val offWin = Window.partitionBy($"blockId").orderBy($"deviceId", $"msgNum", $"beginTS")
-    val located = withPart
-      .join(bidDf, "partKey")
-      .withColumn("offset", row_number().over(offWin).cast("long") - 1)
-
-    // chain prevRID: version 1 of a key points at the replaced post-groomed
-    // record (if any); version k > 1 points at version k-1 in this batch.
-    val chainWin = Window.partitionBy($"deviceId", $"msgNum").orderBy($"beginTS")
-    val withPrev = located
-      .join(prevFromIndex, Seq("deviceId", "msgNum"), "left")
-      .withColumn("prevZone",
-        when($"verRank" === 1, coalesce($"pZone", lit(-1L)))
-          .otherwise(lit(ZoneId.PostGroomed.code.toLong)))
-      .withColumn("prevBlock",
-        when($"verRank" === 1, coalesce($"pBlock", lit(-1L)))
-          .otherwise(lag($"blockId", 1).over(chainWin)))
-      .withColumn("prevOffset",
-        when($"verRank" === 1, coalesce($"pOffset", lit(-1L)))
-          .otherwise(lag($"offset", 1).over(chainWin)))
-      .select($"deviceId", $"msgNum", $"value", $"beginTS", $"endTS",
-        $"prevZone", $"prevBlock", $"prevOffset", $"partKey", $"blockId", $"offset")
-      .cache()
-
-    try {
-      val metas = partKeys.map { pk =>
-        val bid = blockIdOf(pk)
-        val blockDf = withPrev.filter($"blockId" === bid).sort($"offset")
-        val file = postDir.resolve(s"block-$bid.parquet")
-        ParquetIo.writeSingleFile(blockDf.drop("partKey", "blockId"), file)
-        val stats = blockDf.agg(
-          count(lit(1)), min($"deviceId"), max($"deviceId"), min($"msgNum"), max($"msgNum")
-        ).as[(Long, Long, Long, Long, Long)].head()
-        val meta = BlockMeta(
-          zone = ZoneId.PostGroomed.name,
-          blockId = bid,
-          file = file.toString,
-          count = stats._1,
-          minDevice = stats._2, maxDevice = stats._3,
-          minMsg = stats._4, maxMsg = stats._5,
-          coveredLo = newCoveredLo, coveredHi = newCoveredHi,
-          psn = psn)
-        meta.write(postDir.resolve(s"block-$bid.blockmeta"))
-        meta
-      }
-
-      // 4. Publish: the indexer polls MaxPSN and evolves the index (Fig 5).
-      writeState(psn, newCoveredHi, nextBlockId + partKeys.length)
-      Some(PostGroomResult(psn, BlockRange(newCoveredLo, newCoveredHi), metas.toSeq))
-    } finally {
-      withPrev.unpersist()
+    // 4. Write the re-organized blocks, then their sidecars.
+    val ends = starts.drop(1) :+ rows.length
+    val blocks = starts.indices.map(b => (nextBlockId + b, out.slice(starts(b), ends(b))))
+    blocks.foreach { case (bid, rs) =>
+      ParquetIo.writeLongRows(postDir.resolve(s"block-$bid.parquet"), PostGroomer.Columns, rs)
     }
+    val metas = blocks.map { case (bid, rs) =>
+      val meta = BlockMeta(
+        zone = ZoneId.PostGroomed.name,
+        blockId = bid,
+        file = postDir.resolve(s"block-$bid.parquet").toString,
+        count = rs.length,
+        minDevice = rs.iterator.map(_(0)).min, maxDevice = rs.iterator.map(_(0)).max,
+        minMsg = rs.iterator.map(_(1)).min, maxMsg = rs.iterator.map(_(1)).max,
+        coveredLo = newCoveredLo, coveredHi = newCoveredHi,
+        psn = psn)
+      meta.write(postDir.resolve(s"block-$bid.blockmeta"))
+      meta
+    }
+
+    // 5. Publish: the indexer polls MaxPSN and evolves the index (Fig 5).
+    writeState(psn, newCoveredHi, nextBlockId + blocks.length)
+    Some(PostGroomResult(psn, BlockRange(newCoveredLo, newCoveredHi), metas))
   }
 
   /** Mark groomed blocks as deprecated after they are covered; Wildfire
@@ -187,6 +169,10 @@ final class PostGroomer(
 }
 
 object PostGroomer {
+
+  /** Columns of a post-groomed block file, in file order. */
+  val Columns: Seq[String] = Seq("deviceId", "msgNum", "value", "beginTS", "endTS",
+    "prevZone", "prevBlock", "prevOffset", "offset")
 
   private def stateFile(sharedRoot: Path): Path = sharedRoot.resolve("postgroom-state")
 

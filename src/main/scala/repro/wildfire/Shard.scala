@@ -20,6 +20,9 @@ import repro.storage.{CacheManager, SharedStorage, TierConfig}
   *   <root>/shared/endts/          append-only endTS delta files
   *   <root>/shared/index-runs/     persisted index runs
   * }}}
+  *
+  * Groom and post-groom run in process (parquet-mr block writes over plain
+  * arrays); `spark` is the session that DSv2 queries over the shard use.
   */
 final class Shard(
     val spark: SparkSession,
@@ -40,8 +43,8 @@ final class Shard(
   val index: UmziIndex = new UmziIndex(indexConfig, cache)
 
   val liveZone: LiveZone = new LiveZone
-  val groomer: Groomer = new Groomer(spark, groomedDir, index)
-  val postGroomer: PostGroomer = new PostGroomer(spark, sharedRoot, index)
+  val groomer: Groomer = new Groomer(groomedDir, index)
+  val postGroomer: PostGroomer = new PostGroomer(sharedRoot, index)
   val indexer: Indexer = new Indexer(postGroomer, index, Some(runStorage))
 
   // Resume block-ID/groom-sequence allocation after a restart so beginTS

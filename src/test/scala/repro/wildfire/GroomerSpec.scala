@@ -1,8 +1,16 @@
 package repro.wildfire
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.metadata.CompressionCodecName
+import org.apache.parquet.io.LocalInputFile
+import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
+import org.apache.parquet.schema.Type.Repetition
 import repro.SparkSpec
 import repro.core._
+import repro.dsv2.{UmziScan, UmziInputPartition, UmziSnapshot}
+import scala.jdk.CollectionConverters._
+import scala.util.Random
 
 /** Groom operation: live zone -> groomed blocks + level-0 index runs
   * (paper §2.1, §5.2).
@@ -96,5 +104,91 @@ class GroomerSpec extends SparkSpec {
     val run = shard.index.groomedList.snapshot.head
     assert(run.synopsis.mins(0) == meta.minDevice && run.synopsis.maxs(0) == meta.maxDevice)
     assert(run.synopsis.mins(1) == meta.minMsg && run.synopsis.maxs(1) == meta.maxMsg)
+  }
+
+  // ------------------------------------------------ ParquetIo.writeLongRows
+
+  test("a written block reads back identically through parquet-mr and Spark") {
+    val dir = Files.createTempDirectory("umzi-writer")
+    val cols = Seq("b", "a", "c")
+    val rng = new Random(7)
+    val rows = Array.fill(3000)(Array(rng.nextLong(), Long.MinValue + rng.nextInt(3), Long.MaxValue - rng.nextInt(3)))
+    val file = dir.resolve("block-0.parquet")
+    ParquetIo.writeLongRows(file, cols, rows)
+    assert(ParquetIo.readLongRows(file.toString, cols: _*).map(_.toSeq).toSeq == rows.map(_.toSeq).toSeq)
+    val df = spark.read.parquet(file.toString)
+    assert(df.columns.toSeq == cols)
+    assert(df.collect().map(r => Seq(r.getLong(0), r.getLong(1), r.getLong(2))).toSeq == rows.map(_.toSeq).toSeq)
+    assert(ParquetIo.readLongRows(file.toString, "c", "b").map(_.toSeq).toSeq ==
+      rows.map(r => Seq(r(2), r(0))).toSeq, "projection follows the requested order")
+  }
+
+  test("block footers record SNAPPY and required INT64 columns in order") {
+    val shard = newShard()
+    shard.ingest((0 until 40).map(i => Upsert(i % 3, i * 7, i, i)))
+    val groomed = shard.groomOnce().get
+    val post = shard.postGroomOnce().get.blocks
+    (groomed.file, Groomer.Columns) +: post.map(b => (b.file, PostGroomer.Columns)) foreach { case (file, cols) =>
+      val reader = ParquetFileReader.open(new LocalInputFile(Path.of(file)))
+      try {
+        val fields = reader.getFooter.getFileMetaData.getSchema.getFields.asScala.toSeq
+        assert(fields.map(_.getName) == cols, file)
+        fields.foreach { f =>
+          assert(f.isPrimitive && f.asPrimitiveType.getPrimitiveTypeName == PrimitiveTypeName.INT64, f)
+          assert(f.getRepetition == Repetition.REQUIRED, f)
+        }
+        val chunks = reader.getFooter.getBlocks.asScala.flatMap(_.getColumns.asScala)
+        assert(chunks.nonEmpty && chunks.forall(_.getCodec == CompressionCodecName.SNAPPY), file)
+      } finally reader.close()
+    }
+  }
+
+  test("a failed write leaves neither the block nor a temporary file") {
+    val dir = Files.createTempDirectory("umzi-writer")
+    intercept[IllegalArgumentException] {
+      ParquetIo.writeLongRows(dir.resolve("block-0.parquet"), Seq("a", "b"), Array(Array(1L, 2L), Array(3L)))
+    }
+    assert(Files.list(dir).count() == 0)
+  }
+
+  test("a temporary file left by a crashed write is ignored by listings, scans and restarts") {
+    val root = Files.createTempDirectory("umzi-groomer")
+    val shard = new Shard(spark, root)
+    (0 until 3).foreach { c =>
+      shard.ingest((0 until 30).map(i => Upsert(1, c * 10 + i % 12, c * 100 + i, i)))
+      shard.groomOnce()
+      if (c < 2) { shard.postGroomOnce(); shard.indexerPoll() }
+    }
+    val endts = shard.postGroomer.endtsDir
+    assert(Files.list(endts).count() == 1, "the second post-groom replaced earlier versions")
+    def plannedFiles(): Seq[String] =
+      new UmziScan(shard.sharedRoot, Long.MaxValue, Array.empty).planInputPartitions()
+        .map(_.asInstanceOf[UmziInputPartition]).map(p => s"${p.file}:${p.endTsDelta.length}").toSeq.sorted
+    def snapshot(): Seq[String] =
+      UmziSnapshot.raw(spark, shard.sharedRoot.toString).collect().map(_.toString).toSeq.sorted
+    val groomedBefore = BlockMeta.listIn(shard.groomedDir)
+    val postBefore = BlockMeta.listIn(shard.postGroomer.postDir)
+    val (planBefore, rowsBefore) = (plannedFiles(), snapshot())
+
+    // torn copies under the writer's temporary names, one per zone directory
+    Seq(groomedBefore.last.file, postBefore.head.file, Files.list(endts).iterator().next().toString)
+      .foreach { f =>
+        val src = Path.of(f)
+        val bytes = Files.readAllBytes(src)
+        Files.write(Files.createTempFile(src.getParent, s".${src.getFileName}.", ".tmp"),
+          bytes.take(bytes.length / 2))
+      }
+    assert(BlockMeta.listIn(shard.groomedDir) == groomedBefore)
+    assert(BlockMeta.listIn(shard.postGroomer.postDir) == postBefore)
+    assert(plannedFiles() == planBefore)
+    assert(snapshot() == rowsBefore)
+
+    val restarted = new Shard(spark, root)
+    restarted.recoverIndex()
+    assert(restarted.lookup(1, 21) == shard.lookup(1, 21))
+    restarted.ingest(Seq(Upsert(1, 21, 4242, 0)))
+    assert(restarted.groomOnce().get.blockId == groomedBefore.last.blockId + 1)
+    assert(restarted.postGroomOnce().get.psn == 2)
+    assert(restarted.lookup(1, 21).get.includedValues(0) == 4242)
   }
 }
