@@ -17,51 +17,46 @@ import scala.jdk.CollectionConverters._
   * built/merged/evolved, lookups measured) — exactly the surface the paper
   * times, which explicitly excludes record fetch by RID (§8.1). The full
   * Parquet data plane is exercised by the `repro.wildfire` integration
-  * tests; repeating it here would only add constant Spark-job overhead to
+  * tests; repeating it here would only add constant Parquet write cost to
   * every cycle without changing any index-side shape.
   */
 object EndToEndHarness {
 
-  /** One measured lookup batch: the cycle it ran in and its cost (wall +
-    * simulated I/O nanos).
-    */
-  final case class Sample(cycle: Int, nanos: Long)
+  /** One measured lookup batch: the cycle it ran in and its cell. */
+  final case class Sample(cycle: Int, cell: Cell)
 
   final case class Config(
-      cyclesTotal: Int = 60,
-      recordsPerCycle: Int = 5000,
-      postGroomEvery: Int = 20,
+      cyclesTotal: Int,
+      recordsPerCycle: Int,
+      postGroomEvery: Int,
       postGroomEnabled: Boolean = true,
       updatePercent: Double = 10.0,
       nReaders: Int = 1,
-      lookupBatchSize: Int = 1000,
       /** manual SSD purge level (Fig 14): Int.MaxValue = nothing purged. */
       purgeLevel: Int = Int.MaxValue,
-      windowCycles: Int = 6,
-      cyclePauseMillis: Long = 20,
-      nDevices: Long = 64,
-      maxRunsPerLevel: Int = 4,
-      sizeRatio: Int = 4,
-      seed: Long = 11L,
-      tiers: TierConfig = TierConfig())
+      windowCycles: Int,
+      cyclePauseMillis: Long)
+
+  private val LookupBatchSize = 1000
+  private val NDevices = 64L
+  private val Seed = 11L
 
   final case class Result(
-      /** average per-batch lookup cost (nanos) per window of cycles */
-      windows: Seq[Double],
+      /** mean per-batch lookup cell per window of cycles; None if the window
+        * recorded no batch */
+      windows: Seq[Option[Cell]],
       finalRunCount: Int,
       finalEntryCount: Long,
       samples: Int)
 
   def run(cfg: Config): Result = {
     val defn = IndexDef(Seq("deviceId"), Seq("msgNum"), Seq("value"))
-    val cache = new CacheManager(cfg.tiers)
-    val index = new UmziIndex(UmziConfig(defn,
-      maxRunsPerLevel = cfg.maxRunsPerLevel, sizeRatio = cfg.sizeRatio,
+    val cache = new CacheManager(TierConfig())
+    val index = new UmziIndex(UmziConfig(defn, maxRunsPerLevel = 4, sizeRatio = 4,
       postGroomedStartLevel = 6, maxLevel = 9), cache)
     cache.setManualPurgeLevel(cfg.purgeLevel)
 
-    val workload = new Workload(cfg.nDevices, sequentialKeys = false,
-      cfg.updatePercent, cfg.seed)
+    val workload = new Workload(NDevices, sequentialKeys = false, cfg.updatePercent, Seed)
 
     // every ingested primary key, appended in place; readers sample slots
     // [0, published), or slot 0 before the first cycle publishes
@@ -75,18 +70,15 @@ object EndToEndHarness {
 
     val readers = (0 until cfg.nReaders).map { rid =>
       new Thread(() => {
-        val rng = new scala.util.Random(cfg.seed + 1000 + rid)
+        val rng = new scala.util.Random(Seed + 1000 + rid)
         while (!stopped.get()) {
           val n = math.max(published, 1)
-          val batch = Array.fill(cfg.lookupBatchSize) {
+          val batch = Array.fill(LookupBatchSize) {
             val s = rng.nextInt(n)
             (Array(keyDevices(s)), Array(keyMsgs(s)))
           }
           val cycle = currentCycle
-          val (nanos, _) = BenchUtil.cost(cache) {
-            QueryExec.batchLookup(index, batch, Long.MaxValue)
-          }
-          samples.add(Sample(cycle, nanos))
+          samples.add(Sample(cycle, BenchUtil.measure(cache)(BenchUtil.lookupBlocks(index, batch))))
         }
       }, s"umzi-reader-$rid")
     }
@@ -140,9 +132,7 @@ object EndToEndHarness {
 
     val byWindow = samples.iterator().asScala.toSeq.groupBy(_.cycle / cfg.windowCycles)
     val nWindows = (cfg.cyclesTotal + cfg.windowCycles - 1) / cfg.windowCycles
-    val windows = (0 until nWindows).map { w =>
-      byWindow.get(w).map(ss => ss.map(_.nanos.toDouble).sum / ss.size).getOrElse(0.0)
-    }
+    val windows = (0 until nWindows).map(w => byWindow.get(w).map(ss => Cell.mean(ss.map(_.cell))))
     val runs = index.visibleRuns()
     Result(windows, runs.size, runs.map(_.count.toLong).sum,
       samples.size())

@@ -21,26 +21,16 @@ object RunFactory {
 
   val MsgsPerDevice: Long = 1L << 20
 
-  /** Map a linear key to the columns of the given index definition. */
-  def toEntry(defn: IndexDef, k: Long, ts: Long, rid: Rid): IndexEntry = {
-    val dev = k / MsgsPerDevice
-    val msg = k % MsgsPerDevice
-    (defn.nEq, defn.nSort) match {
-      case (1, 1) => IndexEntry(Array(dev), Array(msg), ts, rid, Array(k))          // I1
-      case (2, 0) => IndexEntry(Array(dev, msg), Array.empty, ts, rid, Array(k))    // I2
-      case (1, 0) => IndexEntry(Array(k), Array.empty, ts, rid, Array(k))           // I3
-      case _ => throw new IllegalArgumentException(s"unsupported definition $defn")
-    }
-  }
-
-  /** Lookup key (equality values, sort values) for linear key `k`. */
+  /** Key columns (equality values, sort values) of linear key `k` under the
+    * given index definition.
+    */
   def toLookupKey(defn: IndexDef, k: Long): (Array[Long], Array[Long]) = {
     val dev = k / MsgsPerDevice
     val msg = k % MsgsPerDevice
     (defn.nEq, defn.nSort) match {
-      case (1, 1) => (Array(dev), Array(msg))
-      case (2, 0) => (Array(dev, msg), Array.empty)
-      case (1, 0) => (Array(k), Array.empty)
+      case (1, 1) => (Array(dev), Array(msg))        // I1
+      case (2, 0) => (Array(dev, msg), Array.empty)  // I2
+      case (1, 0) => (Array(k), Array.empty)         // I3
       case _ => throw new IllegalArgumentException(s"unsupported definition $defn")
     }
   }
@@ -53,9 +43,11 @@ object RunFactory {
       Array.fill(n)(math.abs(r.nextLong()) % (2L * n))
     }
 
+  /** Groomed-zone entries of keys `ks`, with `k` itself as the included value. */
   def entries(defn: IndexDef, ks: Array[Long], tsBase: Long, blockId: Long): Array[IndexEntry] =
     ks.zipWithIndex.map { case (k, i) =>
-      toEntry(defn, k, tsBase + i, Rid(ZoneId.Groomed, blockId, i))
+      val (eq, sort) = toLookupKey(defn, k)
+      IndexEntry(eq, sort, tsBase + i, Rid(ZoneId.Groomed, blockId, i), Array(k))
     }
 
   final case class BenchIndex(
@@ -72,9 +64,8 @@ object RunFactory {
       nRuns: Int,
       entriesPerRun: Int,
       sequential: Boolean,
-      seed: Long = 7L,
-      tiers: TierConfig = TierConfig()): BenchIndex = {
-    val cache = new CacheManager(tiers)
+      seed: Long): BenchIndex = {
+    val cache = new CacheManager(TierConfig())
     val index = new UmziIndex(UmziConfig(defn, maxRunsPerLevel = 1_000_000,
       sizeRatio = 4, postGroomedStartLevel = 6, maxLevel = 9), cache)
     val all = keys(nRuns * entriesPerRun, sequential, seed)

@@ -9,42 +9,54 @@ import org.scalatest.funsuite.AnyFunSuite
   * queries stay nearly flat as runs grow (synopses prune almost everything)
   * while random queries grow ~linearly with the run count; range scan time
   * is linear in the scan range with little difference between sequential
-  * and random range starts.
+  * and random range starts. Each shape is checked on wall time and on
+  * distinct blocks touched, separately.
   */
 class Fig10SeqKeysBench extends AnyFunSuite {
 
   test("batching amortizes per-key lookup cost (paper Fig 10a)") {
-    val rows = FigureTables.fig10a(sequentialIngest = true,
-      batchSizes = Seq(1, 10, 100, 1000, 10000), entriesPerRun = 25_000)
-    val perKeyAt1 = rows.head
-    val perKeyAt1000 = rows.find(_._1 == 1000).get
-    assert(perKeyAt1000._2 < perKeyAt1._2,
-      "per-key cost at batch 1000 must undercut batch 1 (sequential)")
-    assert(perKeyAt1000._3 < perKeyAt1._3 * 1.5,
-      "per-key cost at batch 1000 must not exceed batch 1 (random)")
+    val rows = FigureTables.fig10a(sequentialIngest = true, entriesPerRun = 25_000)
+    val (_, seqAt1, randAt1) = rows.head
+    val (_, seqAt1000, randAt1000) = rows.find(_._1 == 1000).get
+    assert(seqAt1000.wallNs < seqAt1.wallNs,
+      s"per-key wall at batch 1000 (${seqAt1000.wallNs}) must undercut batch 1 (${seqAt1.wallNs}) (sequential)")
+    assert(randAt1000.wallNs < randAt1.wallNs * 1.5,
+      s"per-key wall at batch 1000 (${randAt1000.wallNs}) must not exceed batch 1 (${randAt1.wallNs}) (random)")
+    // a block fetched for one key of a batch serves its later keys
+    assert(seqAt1000.blocks < seqAt1.blocks,
+      s"per-key blocks at batch 1000 (${seqAt1000.blocks}) must undercut batch 1 (${seqAt1.blocks}) (sequential)")
+    assert(randAt1000.blocks <= randAt1.blocks,
+      s"per-key blocks at batch 1000 (${randAt1000.blocks}) must not exceed batch 1 (${randAt1.blocks}) (random)")
   }
 
   test("synopses keep sequential queries flat as runs accumulate (paper Fig 10b)") {
-    val rows = FigureTables.fig10b(sequentialIngest = true,
-      runCounts = Seq(1, 10, 20, 40, 60, 80, 100), entriesPerRun = 25_000)
-    val at1 = rows.head
-    val at100 = rows.last
+    val rows = FigureTables.fig10b(sequentialIngest = true, entriesPerRun = 25_000)
+    val (_, _, randAt1) = rows.head
+    val (_, seqAt100, randAt100) = rows.last
     // random queries degrade with more runs...
-    assert(at100._3 > at1._3 * 2,
-      s"random query should grow with runs: ${at1._3} -> ${at100._3}")
+    assert(randAt100.wallNs > randAt1.wallNs * 2,
+      s"random query wall should grow with runs: ${randAt1.wallNs} -> ${randAt100.wallNs}")
+    assert(randAt100.blocks > randAt1.blocks * 2,
+      s"random query blocks should grow with runs: ${randAt1.blocks} -> ${randAt100.blocks}")
     // ...while sequential queries are pruned by the synopses
-    assert(at100._2 < at100._3,
-      s"sequential (${at100._2}) must beat random (${at100._3}) at 100 runs")
+    assert(seqAt100.wallNs < randAt100.wallNs,
+      s"sequential wall (${seqAt100.wallNs}) must beat random (${randAt100.wallNs}) at 100 runs")
+    assert(seqAt100.blocks < randAt100.blocks,
+      s"sequential blocks (${seqAt100.blocks}) must beat random (${randAt100.blocks}) at 100 runs")
   }
 
   test("range scan cost is linear in the range (paper Fig 10c)") {
-    val rows = FigureTables.fig10c(sequentialIngest = true,
-      ranges = Seq(1, 10, 100, 1000, 10000, 100000, 1000000), entriesPerRun = 25_000)
-    val at1 = rows.head
-    val at1M = rows.last
-    assert(at1M._2 > at1._2 * 100,
-      s"1M-range scan must dwarf range-1 scan: ${at1._2} -> ${at1M._2}")
+    val rows = FigureTables.fig10c(sequentialIngest = true, entriesPerRun = 25_000)
+    val (_, seqAt1, _) = rows.head
+    val (_, seqAt1M, randAt1M) = rows.last
+    assert(seqAt1M.wallNs > seqAt1.wallNs * 100,
+      s"1M-range scan wall must dwarf range-1 scan: ${seqAt1.wallNs} -> ${seqAt1M.wallNs}")
+    assert(seqAt1M.blocks > seqAt1.blocks * 100,
+      s"1M-range scan blocks must dwarf range-1 scan: ${seqAt1.blocks} -> ${seqAt1M.blocks}")
     // sequential vs random range starts: same order of magnitude
-    assert(at1M._2 / at1M._3 < 10 && at1M._3 / at1M._2 < 10)
+    assert(seqAt1M.wallNs / randAt1M.wallNs < 10 && randAt1M.wallNs / seqAt1M.wallNs < 10,
+      s"wall: seq ${seqAt1M.wallNs} vs random ${randAt1M.wallNs}")
+    assert(seqAt1M.blocks / randAt1M.blocks < 10 && randAt1M.blocks / seqAt1M.blocks < 10,
+      s"blocks: seq ${seqAt1M.blocks} vs random ${randAt1M.blocks}")
   }
 }

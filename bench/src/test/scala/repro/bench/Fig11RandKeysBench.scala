@@ -7,33 +7,44 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Expected shape: random ingest makes every run span the whole key space,
   * so synopses stop pruning and sequential queries degrade to ~random-query
-  * performance — the defining contrast with Fig 10.
+  * performance — the defining contrast with Fig 10. Each shape is checked on
+  * wall time and on distinct blocks touched, separately.
   */
 class Fig11RandKeysBench extends AnyFunSuite {
 
+  private def within(a: Double, b: Double, factor: Double): Boolean = a / b < factor && b / a < factor
+
   test("random ingest neutralizes pruning: seq ~ random per batch size (paper Fig 11a)") {
-    val rows = FigureTables.fig10a(sequentialIngest = false,
-      batchSizes = Seq(1, 10, 100, 1000, 10000), entriesPerRun = 25_000)
-    val at1000 = rows.find(_._1 == 1000).get
-    assert(at1000._2 / at1000._3 < 4 && at1000._3 / at1000._2 < 4,
-      s"seq (${at1000._2}) and random (${at1000._3}) should converge under random ingest")
+    val rows = FigureTables.fig10a(sequentialIngest = false, entriesPerRun = 25_000)
+    val (_, seq, rand) = rows.find(_._1 == 1000).get
+    assert(within(seq.wallNs, rand.wallNs, 4),
+      s"seq (${seq.wallNs} ns) and random (${rand.wallNs} ns) should converge under random ingest")
+    assert(within(seq.blocks, rand.blocks, 4),
+      s"seq (${seq.blocks} blocks) and random (${rand.blocks} blocks) should converge under random ingest")
   }
 
   test("both query kinds grow with the run count (paper Fig 11b)") {
-    val rows = FigureTables.fig10b(sequentialIngest = false,
-      runCounts = Seq(1, 10, 20, 40, 60, 80, 100), entriesPerRun = 25_000)
-    val at1 = rows.head
-    val at100 = rows.last
-    assert(at100._2 > at1._2 * 2, s"sequential should now degrade too: ${at1._2} -> ${at100._2}")
-    assert(at100._3 > at1._3 * 2, s"random degrades as always: ${at1._3} -> ${at100._3}")
+    val rows = FigureTables.fig10b(sequentialIngest = false, entriesPerRun = 25_000)
+    val (_, seqAt1, randAt1) = rows.head
+    val (_, seqAt100, randAt100) = rows.last
+    assert(seqAt100.wallNs > seqAt1.wallNs * 2,
+      s"sequential wall should now degrade too: ${seqAt1.wallNs} -> ${seqAt100.wallNs}")
+    assert(randAt100.wallNs > randAt1.wallNs * 2,
+      s"random wall degrades as always: ${randAt1.wallNs} -> ${randAt100.wallNs}")
+    assert(seqAt100.blocks > seqAt1.blocks * 2,
+      s"sequential blocks should now grow too: ${seqAt1.blocks} -> ${seqAt100.blocks}")
+    assert(randAt100.blocks > randAt1.blocks * 2,
+      s"random blocks grow as always: ${randAt1.blocks} -> ${randAt100.blocks}")
     // and they stay comparable
-    assert(at100._2 / at100._3 < 4 && at100._3 / at100._2 < 4)
+    assert(within(seqAt100.wallNs, randAt100.wallNs, 4))
+    assert(within(seqAt100.blocks, randAt100.blocks, 4))
   }
 
   test("range scans stay linear under random ingest (paper Fig 11c)") {
-    val rows = FigureTables.fig10c(sequentialIngest = false,
-      ranges = Seq(1, 10, 100, 1000, 10000, 100000, 1000000), entriesPerRun = 25_000)
-    assert(rows.last._2 > rows.head._2 * 50,
-      s"range growth must dominate: ${rows.head._2} -> ${rows.last._2}")
+    val rows = FigureTables.fig10c(sequentialIngest = false, entriesPerRun = 25_000)
+    val (_, at1, _) = rows.head
+    val (_, at1M, _) = rows.last
+    assert(at1M.wallNs > at1.wallNs * 50, s"range growth must dominate wall: ${at1.wallNs} -> ${at1M.wallNs}")
+    assert(at1M.blocks > at1.blocks * 50, s"range growth must dominate blocks: ${at1.blocks} -> ${at1M.blocks}")
   }
 }

@@ -6,22 +6,23 @@ import org.scalatest.funsuite.AnyFunSuite
   * (§8.4.2).
   *
   * Expected shape: the share of updates in the ingest stream has limited
-  * impact on lookup time; latency drifts up slowly over the experiment as
-  * the run chain grows.
+  * impact on lookup time and on the blocks a batch touches; latency drifts
+  * up slowly over the experiment as the run chain grows.
   */
 class Fig13UpdatesBench extends AnyFunSuite {
 
   test("update rate has limited impact on lookups (paper Fig 13)") {
     val cfg = EndToEndHarness.Config(cyclesTotal = 48, recordsPerCycle = 4000,
       postGroomEvery = 16, nReaders = 1, windowCycles = 8, cyclePauseMillis = 25)
-    val results = FigureTables.fig13(Seq(0, 20, 40, 60, 80, 100), cfg)
-    def avg(xs: Seq[Double]): Double = { val v = xs.filter(_ > 0); v.sum / v.size }
-    val readOnly = avg(results(0))
-    val allUpdates = avg(results(100))
-    assert(allUpdates < readOnly * 5,
-      s"p=100% ($allUpdates ns) must stay near p=0% ($readOnly ns)")
-    results.foreach { case (p, ws) =>
-      assert(ws.count(_ > 0) >= ws.size / 2, s"p=$p produced too few samples")
+    val results = FigureTables.fig13(cfg)
+    val readOnly = Cell.mean(results(0).windows.flatten)
+    val allUpdates = Cell.mean(results(100).windows.flatten)
+    assert(allUpdates.wallNs < readOnly.wallNs * 5,
+      s"p=100% (${allUpdates.wallNs} ns) must stay near p=0% (${readOnly.wallNs} ns)")
+    assert(allUpdates.blocks < readOnly.blocks * 5,
+      s"p=100% (${allUpdates.blocks} blocks) must stay near p=0% (${readOnly.blocks} blocks)")
+    results.foreach { case (p, r) =>
+      assert(r.windows.count(_.isDefined) >= r.windows.size / 2, s"p=$p produced too few samples")
     }
   }
 }

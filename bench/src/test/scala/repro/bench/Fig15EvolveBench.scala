@@ -17,10 +17,12 @@ class Fig15EvolveBench extends AnyFunSuite {
     val results = FigureTables.fig15(cfg)
     val on = results("post-groom")
     val off = results("no post-groom")
-    def avg(xs: Seq[Double]): Double = { val v = xs.filter(_ > 0); v.sum / v.size }
+    val (onCell, offCell) = (Cell.mean(on.windows.flatten), Cell.mean(off.windows.flatten))
     // overhead bounded: evolve-enabled lookups within a small factor of disabled
-    assert(avg(on.windows) < avg(off.windows) * 5,
-      s"evolve overhead must be limited: on=${avg(on.windows)} off=${avg(off.windows)}")
+    assert(onCell.wallNs < offCell.wallNs * 5,
+      s"evolve wall overhead must be limited: on=${onCell.wallNs} off=${offCell.wallNs}")
+    assert(onCell.blocks < offCell.blocks * 5,
+      s"evolve block overhead must be limited: on=${onCell.blocks} off=${offCell.blocks}")
     // both record samples
     assert(on.samples > 0 && off.samples > 0)
     // evolve reduces or maintains the visible run count

@@ -10,12 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig8BuildBench extends AnyFunSuite {
 
-  private val sizes: Seq[Int] =
-    if (sys.env.contains("UMZI_BENCH_LARGE")) Seq(1_000, 10_000, 100_000, 1_000_000, 10_000_000)
-    else Seq(1_000, 10_000, 100_000, 1_000_000)
-
   test("index run build time scales linearly; I3 cheapest (paper Fig 8)") {
-    val data = FigureTables.fig8(sizes)
+    val data = FigureTables.fig8()
+    val sizes = FigureTables.Sizes
     val nBig = sizes.last
     // ~linear growth: 1000x more tuples => at least 100x more time
     assert(data((nBig, "I1")) > data((sizes.head, "I1")) * (nBig / sizes.head) / 10.0,

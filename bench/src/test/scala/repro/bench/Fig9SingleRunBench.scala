@@ -10,30 +10,25 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig9SingleRunBench extends AnyFunSuite {
 
-  private val sizes: Seq[Int] =
-    if (sys.env.contains("UMZI_BENCH_LARGE")) Seq(1_000, 10_000, 100_000, 1_000_000, 10_000_000)
-    else Seq(1_000, 10_000, 100_000, 1_000_000)
-
   test("single-run lookups are insensitive to run size (paper Fig 9)") {
-    val fig = FigureTables.fig9(sizes)
-    val data = fig.cost
+    val data = FigureTables.fig9()
+    val sizes = FigureTables.Sizes
     val nBig = sizes.last
-    // bounded growth: a 1000x larger run costs < 30x per batch
+    // bounded growth of wall time: a 1000x larger run takes < 30x per batch
     for (mode <- Seq("seq", "rand"); defn <- Seq("I1", "I3")) {
-      val small = data((sizes.head, mode, defn))
-      val big = data((nBig, mode, defn))
-      assert(big < small.max(1.0) * 30,
-        s"$defn/$mode grew from $small to $big — offset array should bound this")
+      val small = data((sizes.head, mode, defn)).wallNs
+      val big = data((nBig, mode, defn)).wallNs
+      assert(big < small * 30,
+        s"$defn/$mode wall grew from $small to $big ns — offset array should bound this")
     }
-    // I1 and I3 comparable at the largest size, on wall time alone (generous
+    // I1 and I3 comparable at the largest size on wall time (generous
     // bound: single-run micro-batches sit in the microsecond range where GC
-    // noise is ~2-5x). The cost adds I3's simulated I/O for ~1 100 blocks.
-    val (i1, i3) = (fig.wallNanos((nBig, "seq", "I1")), fig.wallNanos((nBig, "seq", "I3")))
-    assert(i1 < i3 * 10, s"seq I1 wall $i1 ns vs I3 $i3 ns")
-    assert(i3 < i1 * 10, s"seq I3 wall $i3 ns vs I1 $i1 ns")
+    // noise is ~2-5x)
+    val (i1, i3) = (data((nBig, "seq", "I1")), data((nBig, "seq", "I3")))
+    assert(i1.wallNs < i3.wallNs * 10, s"seq I1 wall ${i1.wallNs} ns vs I3 ${i3.wallNs} ns")
+    assert(i3.wallNs < i1.wallNs * 10, s"seq I3 wall ${i3.wallNs} ns vs I1 ${i1.wallNs} ns")
     // and on the deterministic block counts: I1's equality + sort key packs
     // a sequential batch into no more blocks than I3's hash-only key
-    val (b1, b3) = (fig.blocks((nBig, "seq", "I1")), fig.blocks((nBig, "seq", "I3")))
-    assert(b1 <= b3, s"seq I1 touched $b1 blocks vs I3 $b3")
+    assert(i1.blocks <= i3.blocks, s"seq I1 touched ${i1.blocks} blocks vs I3 ${i3.blocks}")
   }
 }

@@ -1,6 +1,6 @@
 package repro.dsv2
 
-import java.nio.file.{Path, Paths}
+import java.nio.file.{Files, Path, Paths}
 import java.util.concurrent.atomic.LongAdder
 import java.util.{Map => JMap}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -141,12 +141,17 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     s"umzi unified multi-zone scan (queryTS=$queryTS, pushed=${filters.mkString(",")})"
 
   override def planInputPartitions(): Array[InputPartition] = {
-    val (_, coveredHi, _) = PostGroomer.readState(root)
+    val (maxPsn, coveredHi, nextBlockId) = PostGroomer.readState(root)
 
     // Consistency rule across zones (paper §5.4): covered groomed blocks are
-    // fully represented in the post-groomed zone and must be ignored.
+    // fully represented in the post-groomed zone and must be ignored. The
+    // published state is the commit point of both zones: a post-groom
+    // publishes its blocks by moving nextBlockId past them and its endTS
+    // delta by moving maxPsn to its PSN. Anything beyond is from a post-groom
+    // that stopped before publishing; its PSN alone does not tell, because
+    // the post-groom that redoes that PSN may write fewer blocks.
     val groomed = BlockMeta.listIn(root.resolve("groomed")).filter(_.blockId > coveredHi)
-    val post = BlockMeta.listIn(root.resolve("postgroomed"))
+    val post = BlockMeta.listIn(root.resolve("postgroomed")).filter(_.blockId < nextBlockId)
 
     val (devLo, devHi) = UmziScanBuilder.boundsOf(filters, "deviceId")
     val (msgLo, msgHi) = UmziScanBuilder.boundsOf(filters, "msgNum")
@@ -158,7 +163,7 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     UmziDataSource.blocksPlanned.add(kept.size)
     UmziDataSource.blocksSkipped.add(all.size - kept.size)
 
-    val deltas: Map[Long, Array[(Long, Long)]] = loadEndTsDeltas(root.resolve("endts"))
+    val deltas: Map[Long, Array[(Long, Long)]] = loadEndTsDeltas(maxPsn)
     kept.map { case (m, isPost) =>
       UmziInputPartition(m.file, m.blockId, isPost,
         if (isPost) deltas.getOrElse(m.blockId, Array.empty) else Array.empty)
@@ -166,11 +171,12 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     }.toArray
   }
 
-  /** blockId -> [(offset, endTS)], read from the append-only delta files. */
-  private def loadEndTsDeltas(dir: Path): Map[Long, Array[(Long, Long)]] =
-    Option(dir.toFile.listFiles()).toSeq.flatten
-      .filter(_.getName.endsWith(".parquet"))
-      .flatMap(f => ParquetIo.readLongRows(f.getPath, "blockId", "offset", "endTS"))
+  /** blockId -> [(offset, endTS)], read from the append-only delta files of
+    * the published PSNs 0..maxPsn (a PSN that replaced nothing has none).
+    */
+  private def loadEndTsDeltas(maxPsn: Long): Map[Long, Array[(Long, Long)]] =
+    (0L to maxPsn).map(PostGroomer.endTsDeltaFile(root, _)).filter(Files.exists(_))
+      .flatMap(f => ParquetIo.readLongRows(f.toString, "blockId", "offset", "endTS"))
       .groupBy(_(0))
       .map { case (bid, rs) => bid -> rs.map(r => (r(1), r(2))).toArray }
 

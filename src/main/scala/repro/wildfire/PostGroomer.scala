@@ -128,7 +128,7 @@ final class PostGroomer(
       val delta = replaced.toArray
         .map { case (first, e) => Array(e.rid.blockId, e.rid.offset.toLong, rows(first)(3)) }
         .sortBy(r => (r(0), r(1)))
-      ParquetIo.writeLongRows(endtsDir.resolve(s"psn-$psn.parquet"), Seq("blockId", "offset", "endTS"), delta)
+      ParquetIo.writeLongRows(PostGroomer.endTsDeltaFile(sharedRoot, psn), Seq("blockId", "offset", "endTS"), delta)
     }
 
     // 4. Write the re-organized blocks, then their sidecars.
@@ -175,6 +175,10 @@ object PostGroomer {
     "prevZone", "prevBlock", "prevOffset", "offset")
 
   private def stateFile(sharedRoot: Path): Path = sharedRoot.resolve("postgroom-state")
+
+  /** The endTS delta file that post-groom `psn` writes under `sharedRoot`. */
+  def endTsDeltaFile(sharedRoot: Path, psn: Long): Path =
+    sharedRoot.resolve("endts").resolve(s"psn-$psn.parquet")
 
   /** (maxPsn, coveredGroomedHi, nextPostBlockId) published under `sharedRoot`;
     * the one parser of the state file, shared by every reader of the shard.

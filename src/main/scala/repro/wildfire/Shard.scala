@@ -47,13 +47,13 @@ final class Shard(
   val postGroomer: PostGroomer = new PostGroomer(sharedRoot, index)
   val indexer: Indexer = new Indexer(postGroomer, index, Some(runStorage))
 
-  // Resume block-ID/groom-sequence allocation after a restart so beginTS
-  // stays monotonic: continue past both surviving groomed blocks and the
+  // The next groomed block ID, which is also the groom sequence number that
+  // beginTS derives from. Resume it after a restart so beginTS stays
+  // monotonic: continue past both surviving groomed blocks and the
   // post-groomed coverage watermark.
   private var nextGroomedBlockId: Long = math.max(
     BlockMeta.listIn(groomedDir).map(_.blockId).maxOption.map(_ + 1).getOrElse(0L),
     postGroomer.readState()._2 + 1)
-  private var groomSeq: Long = nextGroomedBlockId
 
   /** Commit a transaction's upserts into the live zone. */
   def ingest(batch: Iterable[Upsert]): Unit = liveZone.ingest(batch)
@@ -61,8 +61,8 @@ final class Shard(
   /** One groom cycle (paper: every second). */
   def groomOnce(): Option[BlockMeta] = {
     val drained = liveZone.drain()
-    val meta = groomer.groom(drained, groomSeq, nextGroomedBlockId)
-    if (meta.isDefined) { groomSeq += 1; nextGroomedBlockId += 1 }
+    val meta = groomer.groom(drained, nextGroomedBlockId, nextGroomedBlockId)
+    if (meta.isDefined) nextGroomedBlockId += 1
     meta
   }
 

@@ -72,13 +72,6 @@ final class Workload(
     batch
   }
 
-  /** All-new-keys batch (updatePercent 0 shortcut used by some benches). */
-  def nextBatchNoUpdates(n: Int): Array[Upsert] =
-    Array.tabulate(n) { i =>
-      val (d, m) = freshKey()
-      Upsert(d, m, rng.nextLong(1L << 32), i)
-    }
-
   /** Sample `n` existing primary keys for lookup queries; falls back to fresh
     * keys when nothing has been ingested yet.
     */

@@ -107,8 +107,10 @@ class UmziDataSourceSpec extends SparkSpec {
     assert(before.count() == 0)
   }
 
-  test("snapshot equals DuckDB oracle on a mixed-zone shard") {
-    val shard = mixedShard()
+  /** The latest-version snapshot equals the DuckDB oracle over every groomed
+    * block ever written (the full version history).
+    */
+  private def assertSnapshotMatchesOracle(shard: Shard): Unit = {
     import spark.implicits._
     val hist = repro.wildfire.BlockMeta.listIn(shard.groomedDir).map { m =>
       spark.read.parquet(m.file).select($"deviceId", $"msgNum", $"value", $"beginTS")
@@ -123,6 +125,53 @@ class UmziDataSourceSpec extends SparkSpec {
         |  FROM hist
         |) WHERE rn = 1""".stripMargin,
       "hist" -> hist)
+  }
+
+  /** A post-groom whose state publish is lost, as in a crash between its
+    * block writes and the publish: `postgroom-state` goes back to what it was.
+    */
+  private def postGroomWithoutPublish(shard: Shard): Unit = {
+    val state = shard.sharedRoot.resolve("postgroom-state")
+    val before = if (Files.exists(state)) Some(Files.readAllBytes(state)) else None
+    assert(shard.postGroomOnce().isDefined)
+    before match {
+      case Some(bytes) => Files.write(state, bytes)
+      case None => Files.delete(state)
+    }
+  }
+
+  test("snapshot equals DuckDB oracle on a mixed-zone shard") {
+    assertSnapshotMatchesOracle(mixedShard())
+  }
+
+  test("a post-groom that stops before publishing its state stays invisible") {
+    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    import spark.implicits._
+    def assertRaw(expected: Seq[Upsert]): Unit = {
+      val raw = UmziSnapshot.raw(spark, shard.sharedRoot.toString)
+        .select($"deviceId", $"msgNum", $"value").as[(Long, Long, Long)].collect().toSeq
+      assert(raw.sorted == expected.map(u => (u.deviceId, u.msgNum, u.value)).sorted)
+      assertSnapshotMatchesOracle(shard)
+    }
+    def groom(ups: Seq[Upsert]): Unit = { shard.ingest(ups); shard.groomOnce() }
+    val originals = (0 until 20).map(i => Upsert(1, i, i, i))
+    groom(originals)
+    postGroomWithoutPublish(shard) // the first PSN: no state file yet
+    assertRaw(originals)
+    shard.postGroomOnce(); shard.indexerPoll()
+    assertRaw(originals)
+    // a lost publish of a post-groom that replaces five rows, so it also
+    // writes an endTS delta; it writes one block per updated msgNum
+    val updates = (0 until 5).map(i => Upsert(1, i, 100 + i, i))
+    groom(updates)
+    postGroomWithoutPublish(shard)
+    assertRaw(originals ++ updates)
+    // redone with one more, far msgNum, the same PSN writes two blocks, so
+    // three blocks of the lost attempt carry a published PSN
+    val far = Upsert(1, 1000, 1000, 0)
+    groom(Seq(far))
+    assert(shard.postGroomOnce().get.blocks.size == 2)
+    assertRaw(originals.drop(5) ++ updates :+ far)
   }
 
   test("endTS delta hides replaced post-groomed versions at later timestamps") {
