@@ -58,9 +58,10 @@ object EndToEndHarness {
 
     val workload = new Workload(NDevices, sequentialKeys = false, cfg.updatePercent, Seed)
 
+    require(cfg.cyclesTotal >= 1 && cfg.recordsPerCycle >= 1, "need at least one record")
     // every ingested primary key, appended in place; readers sample slots
-    // [0, published), or slot 0 before the first cycle publishes
-    val keyDevices = new Array[Long](math.max(1, Math.multiplyExact(cfg.cyclesTotal, cfg.recordsPerCycle)))
+    // [0, published)
+    val keyDevices = new Array[Long](Math.multiplyExact(cfg.cyclesTotal, cfg.recordsPerCycle))
     val keyMsgs = new Array[Long](keyDevices.length)
     var appended = 0
     @volatile var published = 0
@@ -68,28 +69,12 @@ object EndToEndHarness {
     val stopped = new AtomicBoolean(false)
     val samples = new ConcurrentLinkedQueue[Sample]()
 
-    val readers = (0 until cfg.nReaders).map { rid =>
-      new Thread(() => {
-        val rng = new scala.util.Random(Seed + 1000 + rid)
-        while (!stopped.get()) {
-          val n = math.max(published, 1)
-          val batch = Array.fill(LookupBatchSize) {
-            val s = rng.nextInt(n)
-            (Array(keyDevices(s)), Array(keyMsgs(s)))
-          }
-          val cycle = currentCycle
-          samples.add(Sample(cycle, BenchUtil.measure(cache)(BenchUtil.lookupBlocks(index, batch))))
-        }
-      }, s"umzi-reader-$rid")
-    }
-    readers.foreach { t => t.setDaemon(true); t.start() }
-
     // retained groomed entries per block, for later evolve
     val groomedEntries = mutable.Map.empty[Long, Array[IndexEntry]]
     var coveredHi = -1L
     var postBlockId = 1_000_000L
 
-    (0 until cfg.cyclesTotal).foreach { cycle =>
+    def runCycle(cycle: Int): Unit = {
       currentCycle = cycle
       val batch = workload.nextBatch(cfg.recordsPerCycle)
       val tsBase = cycle.toLong << 20
@@ -123,6 +108,26 @@ object EndToEndHarness {
       cache.maintainCache()
       if (cfg.cyclePauseMillis > 0) Thread.sleep(cfg.cyclePauseMillis)
     }
+
+    // readers start once cycle 0 has published keys, so no batch looks up
+    // keys of an empty index
+    runCycle(0)
+    val readers = (0 until cfg.nReaders).map { rid =>
+      new Thread(() => {
+        val rng = new scala.util.Random(Seed + 1000 + rid)
+        while (!stopped.get()) {
+          val n = published
+          val batch = Array.fill(LookupBatchSize) {
+            val s = rng.nextInt(n)
+            (Array(keyDevices(s)), Array(keyMsgs(s)))
+          }
+          val cycle = currentCycle
+          samples.add(Sample(cycle, BenchUtil.measure(cache)(BenchUtil.lookupBlocks(index, batch))))
+        }
+      }, s"umzi-reader-$rid")
+    }
+    readers.foreach { t => t.setDaemon(true); t.start() }
+    (1 until cfg.cyclesTotal).foreach(runCycle)
 
     stopped.set(true)
     // wait for every reader to die — a straggler would steal CPU from (and

@@ -159,9 +159,20 @@ object IndexRun {
   /** Default entries per fixed-size data block (~entryWidth*512 bytes/block). */
   val DefaultEntriesPerBlock: Int = 512
 
+  /** Groups of at most this many rows that tie on every byte before the
+    * current one are insertion-sorted by a byte compare of the rest of the
+    * row instead of another radix pass.
+    */
+  private[core] val SmallSortCutoff: Int = 16
+
   /** Build a run by sorting `entries` (paper §5.2: scan the groomed block,
     * sort entries by hash, key columns and descending beginTS, compute the
     * offset array on the fly while writing data blocks).
+    *
+    * Each entry is encoded once into a flat scratch array. Every column is a
+    * big-endian field, so the index order is the unsigned byte order of these
+    * rows; [[RowSorter]] finds it as a permutation of row numbers, and the
+    * rows are then copied once, in that order, into `data`.
     */
   def build(
       defn: IndexDef,
@@ -171,23 +182,96 @@ object IndexRun {
       blockRange: BlockRange,
       entries: Array[IndexEntry],
       entriesPerBlock: Int = DefaultEntriesPerBlock): IndexRun = {
+    val n = entries.length
     val w = defn.entryWidth
-    val rows = new Array[Array[Byte]](entries.length)
+    require(n.toLong * w <= Int.MaxValue, "run too large")
+    val rows = new Array[Byte](n * w)
+    val order = new Array[Int](n)
     var i = 0
-    while (i < entries.length) {
-      val row = new Array[Byte](w)
-      IndexEntry.write(defn, entries(i), row, 0)
-      rows(i) = row
+    while (i < n) {
+      IndexEntry.write(defn, entries(i), rows, i * w)
+      order(i) = i
       i += 1
     }
-    Arrays.sort(rows, (a: Array[Byte], b: Array[Byte]) => Arrays.compareUnsigned(a, b))
-    val data = new Array[Byte](entries.length * w)
+    new RowSorter(rows, w, order).sort(0, n, 0)
+    val data = new Array[Byte](n * w)
     i = 0
-    while (i < rows.length) {
-      System.arraycopy(rows(i), 0, data, i * w, w)
+    while (i < n) {
+      System.arraycopy(rows, order(i) * w, data, i * w, w)
       i += 1
     }
     fromSortedData(defn, id, zone, level, blockRange, data, entriesPerBlock, Seq.empty)
+  }
+
+  /** MSD radix sort of the row numbers in `order` by the unsigned bytes of
+    * their `width`-byte rows in `rows`.
+    *
+    * A group of rows that tie on their first `from` bytes first skips every
+    * further byte the whole group ties on (one vectorized mismatch per row),
+    * so columns a group shares, such as the equality columns under one hash,
+    * cost no pass. It is then split into 256 buckets by its next byte with
+    * one counting pass, and each bucket is sorted the same way on the bytes
+    * after. Groups of at most [[SmallSortCutoff]] rows are insertion-sorted.
+    * Every pass is linear, so no input, not even one key repeated for every
+    * row, makes the sort quadratic.
+    */
+  private final class RowSorter(rows: Array[Byte], width: Int, order: Array[Int]) {
+    private val scratch = new Array[Int](order.length)
+    // bucket starts of the pass at each byte position, allocated on first use
+    private val bucketStarts = new Array[Array[Int]](width)
+
+    def sort(lo: Int, hi: Int, from: Int): Unit = {
+      if (hi - lo <= SmallSortCutoff) { insertionSort(lo, hi, from); return }
+      val first = order(lo) * width
+      var tie = width - from
+      var j = lo + 1
+      while (j < hi && tie > 0) {
+        val pos = order(j) * width
+        val m = Arrays.mismatch(rows, first + from, first + from + tie, rows, pos + from, pos + from + tie)
+        if (m >= 0) tie = m
+        j += 1
+      }
+      val p = from + tie
+      if (p == width) return // identical rows
+      var starts = bucketStarts(p)
+      if (starts == null) { starts = new Array[Int](256); bucketStarts(p) = starts }
+      else Arrays.fill(starts, 0)
+      j = lo
+      while (j < hi) { starts(rows(order(j) * width + p) & 0xff) += 1; j += 1 }
+      var end = lo
+      var b = 0
+      while (b < 256) { end += starts(b); starts(b) = end; b += 1 }
+      j = hi - 1
+      while (j >= lo) {
+        val bucket = rows(order(j) * width + p) & 0xff
+        starts(bucket) -= 1
+        scratch(starts(bucket)) = order(j)
+        j -= 1
+      }
+      System.arraycopy(scratch, lo, order, lo, hi - lo)
+      b = 0
+      while (b < 256) {
+        val bucketEnd = if (b < 255) starts(b + 1) else hi
+        if (bucketEnd - starts(b) > 1) sort(starts(b), bucketEnd, p + 1)
+        b += 1
+      }
+    }
+
+    private def insertionSort(lo: Int, hi: Int, from: Int): Unit = {
+      val len = width - from
+      var i = lo + 1
+      while (i < hi) {
+        val x = order(i)
+        val xPos = x * width + from
+        var j = i - 1
+        while (j >= lo && KeyCodec.compareUnsigned(rows, order(j) * width + from, rows, xPos, len) > 0) {
+          order(j + 1) = order(j)
+          j -= 1
+        }
+        order(j + 1) = x
+        i += 1
+      }
+    }
   }
 
   /** Wrap already-sorted entry bytes into a run, rebuilding the header. */

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
+
 /** Lexicographically comparable fixed-width encodings (paper §4.2).
   *
   * All ordering columns — hash, equality, sort, beginTS — are stored so that
@@ -33,37 +36,20 @@ object KeyCodec {
   def readTsDescending(src: Array[Byte], pos: Int): Long =
     -readLongOrdered(src, pos)
 
-  def writeLongRaw(v: Long, dst: Array[Byte], pos: Int): Unit = {
-    dst(pos) = (v >>> 56).toByte
-    dst(pos + 1) = (v >>> 48).toByte
-    dst(pos + 2) = (v >>> 40).toByte
-    dst(pos + 3) = (v >>> 32).toByte
-    dst(pos + 4) = (v >>> 24).toByte
-    dst(pos + 5) = (v >>> 16).toByte
-    dst(pos + 6) = (v >>> 8).toByte
-    dst(pos + 7) = v.toByte
-  }
+  // one big-endian view for every raw read and write: the JIT turns each
+  // access into a single (byte-swapped) load or store, at any offset. The
+  // type ascriptions on `get` give the call its primitive signature; without
+  // them scalac links it as returning Object and boxes every value.
+  private val LongView = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.BIG_ENDIAN)
+  private val IntView = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.BIG_ENDIAN)
 
-  def readLongRaw(src: Array[Byte], pos: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < 8) { v = (v << 8) | (src(pos + i) & 0xffL); i += 1 }
-    v
-  }
+  def writeLongRaw(v: Long, dst: Array[Byte], pos: Int): Unit = LongView.set(dst, pos, v)
 
-  def writeIntRaw(v: Int, dst: Array[Byte], pos: Int): Unit = {
-    dst(pos) = (v >>> 24).toByte
-    dst(pos + 1) = (v >>> 16).toByte
-    dst(pos + 2) = (v >>> 8).toByte
-    dst(pos + 3) = v.toByte
-  }
+  def readLongRaw(src: Array[Byte], pos: Int): Long = (LongView.get(src, pos): Long)
 
-  def readIntRaw(src: Array[Byte], pos: Int): Int = {
-    var v = 0
-    var i = 0
-    while (i < 4) { v = (v << 8) | (src(pos + i) & 0xff); i += 1 }
-    v
-  }
+  def writeIntRaw(v: Int, dst: Array[Byte], pos: Int): Unit = IntView.set(dst, pos, v)
+
+  def readIntRaw(src: Array[Byte], pos: Int): Int = (IntView.get(src, pos): Int)
 
   /** 64-bit hash of the equality column values (splitmix64-style mixing).
     *

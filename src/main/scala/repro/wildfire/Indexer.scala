@@ -27,17 +27,22 @@ final class Indexer(
 
   /** Poll MaxPSN and evolve once per pending PSN; returns evolve count. */
   def poll(): Int = {
-    val (maxPsn, _, _) = postGroomer.readState()
+    val (maxPsn, _, nextBlockId) = postGroomer.readState()
     var n = 0
     while (_indexedPsn < maxPsn) {
-      evolveOne(_indexedPsn + 1)
+      evolveOne(_indexedPsn + 1, nextBlockId)
       n += 1
     }
     n
   }
 
-  private def evolveOne(psn: Long): Unit = {
-    val metas = BlockMeta.listIn(postGroomer.postDir).filter(_.psn == psn)
+  /** Evolve the published blocks of `psn`: those below the published
+    * `nextBlockId`. A post-groom that stopped before publishing may have left
+    * more blocks with the same PSN, which the post-groom that redid it
+    * replaced.
+    */
+  private def evolveOne(psn: Long, nextBlockId: Long): Unit = {
+    val metas = BlockMeta.listIn(postGroomer.postDir).filter(m => m.psn == psn && m.blockId < nextBlockId)
     require(metas.nonEmpty, s"no post-groomed blocks published for PSN $psn")
     val entries = metas.flatMap { m =>
       ParquetIo.readLongRows(m.file, "deviceId", "msgNum", "value", "beginTS", "offset")

@@ -77,6 +77,42 @@ class KeyCodecSpec extends AnyFunSuite {
     assert(KeyCodec.readLongRaw(a, 5) == 0x1122334455667788L)
   }
 
+  /** Byte-at-a-time big-endian reads and writes: the reference for the
+    * raw and ordered codecs.
+    */
+  private def refWrite(v: Long, bytes: Int, dst: Array[Byte], pos: Int): Unit =
+    (0 until bytes).foreach(i => dst(pos + i) = (v >>> (8 * (bytes - 1 - i))).toByte)
+
+  private def refRead(src: Array[Byte], pos: Int, bytes: Int): Long =
+    (0 until bytes).foldLeft(0L)((acc, i) => (acc << 8) | (src(pos + i) & 0xffL))
+
+  test("raw and ordered long/int codecs equal a byte-by-byte reference at any offset") {
+    val cases = for {
+      v <- Gen.frequency(3 -> Gen.long, 1 -> Gen.oneOf(Long.MinValue, -1L, 0L, 1L, Long.MaxValue))
+      pos <- Gen.choose(0, 15)
+      background <- Gen.containerOfN[Array, Byte](32, Gen.choose(Byte.MinValue, Byte.MaxValue))
+    } yield (v, pos, background)
+    val prop = Prop.forAll(cases) { case (v, pos, background) =>
+      def written(write: Array[Byte] => Unit): Array[Byte] = { val a = background.clone(); write(a); a }
+      val i = v.toInt
+      // writes touch exactly their own bytes
+      written(KeyCodec.writeLongRaw(v, _, pos)).sameElements(written(refWrite(v, 8, _, pos))) &&
+        written(KeyCodec.writeLongOrdered(v, _, pos))
+          .sameElements(written(refWrite(v ^ Long.MinValue, 8, _, pos))) &&
+        written(KeyCodec.writeIntRaw(i, _, pos)).sameElements(written(refWrite(i.toLong, 4, _, pos))) &&
+        KeyCodec.readLongRaw(background, pos) == refRead(background, pos, 8) &&
+        KeyCodec.readLongOrdered(background, pos) == (refRead(background, pos, 8) ^ Long.MinValue) &&
+        KeyCodec.readIntRaw(background, pos) == refRead(background, pos, 4).toInt &&
+        // a RID's block ID sits one byte past the RID, so at an odd offset when the RID's is even
+        written(Rid.write(Rid(ZoneId.PostGroomed, v, i), _, pos)).sameElements(written { a =>
+          a(pos) = ZoneId.PostGroomed.code; refWrite(v, 8, a, pos + 1); refWrite(i.toLong, 4, a, pos + 9)
+        }) &&
+        Rid.read(written(Rid.write(Rid(ZoneId.Groomed, v, i), _, pos)), pos) == Rid(ZoneId.Groomed, v, i)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
   test("hash64 is deterministic") {
     val v = Array(42L, 7L)
     assert(KeyCodec.hash64(v) == KeyCodec.hash64(Array(42L, 7L)))

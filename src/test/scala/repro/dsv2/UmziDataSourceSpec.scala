@@ -3,6 +3,7 @@ package repro.dsv2
 import java.nio.file.Files
 import repro.{Oracle, SparkSpec}
 import repro.wildfire.{Shard, Upsert}
+import repro.wildfire.PostGroomFaults.postGroomWithoutPublish
 
 /** DataSourceV2 unified multi-zone scan: consistency, pushdown and data
   * skipping (DESIGN.md §3).
@@ -130,16 +131,6 @@ class UmziDataSourceSpec extends SparkSpec {
   /** A post-groom whose state publish is lost, as in a crash between its
     * block writes and the publish: `postgroom-state` goes back to what it was.
     */
-  private def postGroomWithoutPublish(shard: Shard): Unit = {
-    val state = shard.sharedRoot.resolve("postgroom-state")
-    val before = if (Files.exists(state)) Some(Files.readAllBytes(state)) else None
-    assert(shard.postGroomOnce().isDefined)
-    before match {
-      case Some(bytes) => Files.write(state, bytes)
-      case None => Files.delete(state)
-    }
-  }
-
   test("snapshot equals DuckDB oracle on a mixed-zone shard") {
     assertSnapshotMatchesOracle(mixedShard())
   }

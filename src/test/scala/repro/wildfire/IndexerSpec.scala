@@ -68,4 +68,30 @@ class IndexerSpec extends SparkSpec {
     assert(psn == 0)
     assert(watermark == shard.index.maxCoveredGroomedId)
   }
+
+  test("a redone post-groom's lost attempt leaves no extra blocks in the index") {
+    val shard = newShard()
+    val originals = (0 until 20).map(i => Upsert(1, i, i, i))
+    cycle(shard, originals)
+    shard.postGroomOnce(); shard.indexerPoll()
+    // a post-groom replacing five rows writes one block per msgNum, then
+    // loses its publish; redone with one more, far msgNum, the same PSN
+    // writes two blocks, so three blocks of the lost attempt carry its PSN
+    val updates = (0 until 5).map(i => Upsert(1, i, 100 + i, i))
+    cycle(shard, updates)
+    PostGroomFaults.postGroomWithoutPublish(shard)
+    val far = Upsert(1, 1000, 1000, 0)
+    cycle(shard, Seq(far))
+    assert(shard.postGroomOnce().get.blocks.size == 2)
+    val staleBlocks = BlockMeta.listIn(shard.postGroomer.postDir).count(_.blockId >= shard.postGroomer.readState()._3)
+    assert(staleBlocks == 3)
+    assert(shard.indexerPoll() == 1)
+
+    // every version the published blocks hold, once, and nothing else
+    val versions = shard.index.visibleRuns().flatMap(_.entries)
+      .map(e => (e.eqValues(0), e.sortValues(0), e.includedValues(0)))
+    assert(versions.size == versions.distinct.size, "a version indexed twice")
+    assert(versions.sorted == (originals ++ updates :+ far).map(u => (u.deviceId, u.msgNum, u.value)).sorted)
+    (updates :+ far).foreach(u => assert(shard.lookup(u.deviceId, u.msgNum).get.includedValues(0) == u.value))
+  }
 }
