@@ -10,7 +10,7 @@ import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import repro.wildfire.{BlockMeta, ParquetIo, PostGroomer}
+import repro.wildfire.{BlockMeta, ParquetIo, PublishedView, ShardFiles}
 
 /** DataSourceV2 provider `umzi`: a unified, consistent scan over the
   * multi-zone shard layout (repro hint: "custom DataSource V2 index layer
@@ -141,29 +141,21 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     s"umzi unified multi-zone scan (queryTS=$queryTS, pushed=${filters.mkString(",")})"
 
   override def planInputPartitions(): Array[InputPartition] = {
-    val (maxPsn, coveredHi, nextBlockId) = PostGroomer.readState(root)
-
-    // Consistency rule across zones (paper §5.4): covered groomed blocks are
-    // fully represented in the post-groomed zone and must be ignored. The
-    // published state is the commit point of both zones: a post-groom
-    // publishes its blocks by moving nextBlockId past them and its endTS
-    // delta by moving maxPsn to its PSN. Anything beyond is from a post-groom
-    // that stopped before publishing; its PSN alone does not tell, because
-    // the post-groom that redoes that PSN may write fewer blocks.
-    val groomed = BlockMeta.listIn(root.resolve("groomed")).filter(_.blockId > coveredHi)
-    val post = BlockMeta.listIn(root.resolve("postgroomed")).filter(_.blockId < nextBlockId)
+    // Consistency rule across zones (paper §5.4): read only the published
+    // view, never covered groomed blocks or unpublished post-groomed ones.
+    val view = new PublishedView(root)
 
     val (devLo, devHi) = UmziScanBuilder.boundsOf(filters, "deviceId")
     val (msgLo, msgHi) = UmziScanBuilder.boundsOf(filters, "msgNum")
     def survives(m: BlockMeta): Boolean =
       !(m.maxDevice < devLo || m.minDevice > devHi || m.maxMsg < msgLo || m.minMsg > msgHi)
 
-    val all = groomed.map(m => (m, false)) ++ post.map(m => (m, true))
+    val all = view.groomed.map(m => (m, false)) ++ view.postGroomed.map(m => (m, true))
     val kept = all.filter { case (m, _) => survives(m) }
     UmziDataSource.blocksPlanned.add(kept.size)
     UmziDataSource.blocksSkipped.add(all.size - kept.size)
 
-    val deltas: Map[Long, Array[(Long, Long)]] = loadEndTsDeltas(maxPsn)
+    val deltas: Map[Long, Array[(Long, Long)]] = loadEndTsDeltas(view.maxPsn)
     kept.map { case (m, isPost) =>
       UmziInputPartition(m.file, m.blockId, isPost,
         if (isPost) deltas.getOrElse(m.blockId, Array.empty) else Array.empty)
@@ -175,7 +167,7 @@ final class UmziScan(root: Path, queryTS: Long, filters: Array[Filter])
     * the published PSNs 0..maxPsn (a PSN that replaced nothing has none).
     */
   private def loadEndTsDeltas(maxPsn: Long): Map[Long, Array[(Long, Long)]] =
-    (0L to maxPsn).map(PostGroomer.endTsDeltaFile(root, _)).filter(Files.exists(_))
+    (0L to maxPsn).map(ShardFiles.endTsDeltaFile(root, _)).filter(Files.exists(_))
       .flatMap(f => ParquetIo.readLongRows(f.toString, "blockId", "offset", "endTS"))
       .groupBy(_(0))
       .map { case (bid, rs) => bid -> rs.map(r => (r(1), r(2))).toArray }

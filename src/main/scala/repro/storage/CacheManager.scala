@@ -31,8 +31,9 @@ import scala.jdk.CollectionConverters._
   */
 final class CacheManager(
     val tiers: TierConfig = TierConfig(),
-    val shared: Option[SharedStorage] = None,
-    val stats: IoStats = new IoStats) extends StorageHooks {
+    val shared: Option[SharedStorage] = None) extends StorageHooks {
+
+  val stats: IoStats = new IoStats
 
   /** Lock-free per-run cache state: one atomic bit per data block. */
   private final class RunState(val run: IndexRun, val persisted: Boolean) {

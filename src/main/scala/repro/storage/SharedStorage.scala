@@ -1,6 +1,7 @@
 package repro.storage
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Path, StandardCopyOption}
+import java.util.Properties
 import repro.core.{IndexDef, IndexRun, RunCodec}
 import scala.jdk.CollectionConverters._
 
@@ -9,9 +10,10 @@ import scala.jdk.CollectionConverters._
   *
   * Faithfully restricted to what those systems allow: whole-file append-only
   * writes, no in-place updates, delete, and list. Runs are one file each
-  * (`run-<id>.umzi`), written atomically via a temp file + move. Index
-  * checkpoint state (the evolve watermark and IndexedPSN, paper §5.5) lives
-  * in a small versioned checkpoint file.
+  * (`run-<id>.umzi`). Index checkpoint state (the evolve watermark and
+  * IndexedPSN, paper §5.5) lives in a small Properties file. Every file,
+  * here and in the shard's zones, reaches storage through
+  * [[SharedStorage.writeAtomically]].
   */
 final class SharedStorage(val root: Path) {
   Files.createDirectories(runsDir)
@@ -21,12 +23,8 @@ final class SharedStorage(val root: Path) {
   private def checkpointFile: Path = root.resolve("index-checkpoint")
 
   /** Persist a run as a new immutable file (append-only semantics). */
-  def writeRun(run: IndexRun): Unit = {
-    val tmp = Files.createTempFile(runsDir, s"run-${run.id}", ".tmp")
-    Files.write(tmp, RunCodec.serialize(run))
-    Files.move(tmp, runFile(run.id), java.nio.file.StandardCopyOption.ATOMIC_MOVE,
-      java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-  }
+  def writeRun(run: IndexRun): Unit =
+    SharedStorage.writeAtomically(runFile(run.id))(Files.write(_, RunCodec.serialize(run)))
 
   def readRun(defn: IndexDef, id: Long): IndexRun =
     RunCodec.deserialize(defn, Files.readAllBytes(runFile(id)))
@@ -45,25 +43,48 @@ final class SharedStorage(val root: Path) {
   def listRuns(defn: IndexDef): Seq[IndexRun] = listRunIds().map(readRun(defn, _))
 
   /** Persist (watermark, indexedPSN) after each evolve (paper §5.5). */
-  def writeCheckpoint(maxCoveredGroomedId: Long, indexedPsn: Long): Unit = {
-    val tmp = Files.createTempFile(root, "checkpoint", ".tmp")
-    Files.write(tmp, s"$maxCoveredGroomedId\n$indexedPsn\n".getBytes("UTF-8"))
-    Files.move(tmp, checkpointFile, java.nio.file.StandardCopyOption.ATOMIC_MOVE,
-      java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-  }
+  def writeCheckpoint(maxCoveredGroomedId: Long, indexedPsn: Long): Unit =
+    SharedStorage.writeProperties(checkpointFile,
+      "watermark" -> maxCoveredGroomedId, "indexedPsn" -> indexedPsn)
 
   /** (watermark, indexedPSN), or (-1, -1) if never checkpointed. */
-  def readCheckpoint(): (Long, Long) =
-    if (Files.exists(checkpointFile)) {
-      val lines = Files.readAllLines(checkpointFile).asScala
-      (lines.head.trim.toLong, lines(1).trim.toLong)
-    } else (-1L, -1L)
+  def readCheckpoint(): (Long, Long) = SharedStorage.readProperties(checkpointFile)
+    .fold((-1L, -1L))(p => (p("watermark").toLong, p("indexedPsn").toLong))
 }
 
 object SharedStorage {
-  def apply(dir: String): SharedStorage = {
-    val p = Paths.get(dir)
-    Files.createDirectories(p)
-    new SharedStorage(p)
+
+  /** `write` fills a temporary file next to `target` (dot-prefixed, `.tmp`
+    * suffix, so no listing matches it), which is then renamed over `target`;
+    * if `write` throws, `target` is as it was. The temporary never remains.
+    */
+  def writeAtomically(target: Path)(write: Path => Unit): Unit = {
+    val tmp = Files.createTempFile(target.getParent, s".${target.getFileName}.", ".tmp")
+    try {
+      write(tmp)
+      Files.move(tmp, target, StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
+    } finally Files.deleteIfExists(tmp)
+  }
+
+  /** Atomically write `entries` as the `java.util.Properties` file `target`. */
+  def writeProperties(target: Path, entries: (String, Any)*): Unit =
+    writeAtomically(target) { tmp =>
+      val p = new Properties()
+      entries.foreach { case (k, v) => p.setProperty(k, v.toString) }
+      val out = Files.newOutputStream(tmp)
+      try p.store(out, null)
+      finally out.close()
+    }
+
+  /** The `java.util.Properties` file `file` as a lookup that fails naming
+    * the file and the key when the key is missing; None if there is no file.
+    */
+  def readProperties(file: Path): Option[String => String] = Option.when(Files.exists(file)) {
+    val p = new Properties()
+    val in = Files.newInputStream(file)
+    try p.load(in)
+    finally in.close()
+    key => Option(p.getProperty(key))
+      .getOrElse(throw new IllegalStateException(s"$file has no '$key' entry"))
   }
 }

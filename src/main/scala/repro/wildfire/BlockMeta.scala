@@ -1,7 +1,7 @@
 package repro.wildfire
 
-import java.nio.file.{Files, Path}
-import java.util.Properties
+import java.nio.file.{Files, NoSuchFileException, Path}
+import repro.storage.SharedStorage
 import scala.jdk.CollectionConverters._
 
 /** Metadata sidecar for one columnar data block in a zone.
@@ -11,7 +11,8 @@ import scala.jdk.CollectionConverters._
   * scan (DESIGN.md §3, repro of the paper's synopsis idea at the data-block
   * granularity) plus the groomed-block coverage needed by the evolve rule.
   *
-  * Stored as java.util.Properties — human-readable, no extra dependency.
+  * Stored as java.util.Properties — human-readable, no extra dependency. The
+  * sidecar holds no path: `file` is the block next to it wherever it is read.
   */
 final case class BlockMeta(
     zone: String,
@@ -27,51 +28,39 @@ final case class BlockMeta(
     coveredHi: Long = -1L,
     psn: Long = -1L) {
 
-  def write(path: Path): Unit = {
-    val p = new Properties()
-    p.setProperty("zone", zone)
-    p.setProperty("blockId", blockId.toString)
-    p.setProperty("file", file)
-    p.setProperty("count", count.toString)
-    p.setProperty("minDevice", minDevice.toString)
-    p.setProperty("maxDevice", maxDevice.toString)
-    p.setProperty("minMsg", minMsg.toString)
-    p.setProperty("maxMsg", maxMsg.toString)
-    p.setProperty("coveredLo", coveredLo.toString)
-    p.setProperty("coveredHi", coveredHi.toString)
-    p.setProperty("psn", psn.toString)
-    val out = Files.newOutputStream(path)
-    try p.store(out, "umzi block meta")
-    finally out.close()
-  }
+  /** Atomically write this sidecar into the zone directory `dir`. */
+  def write(dir: Path): Unit =
+    SharedStorage.writeProperties(ShardFiles.metaFile(dir, blockId),
+      "zone" -> zone, "blockId" -> blockId, "count" -> count,
+      "minDevice" -> minDevice, "maxDevice" -> maxDevice, "minMsg" -> minMsg, "maxMsg" -> maxMsg,
+      "coveredLo" -> coveredLo, "coveredHi" -> coveredHi, "psn" -> psn)
 }
 
 object BlockMeta {
 
+  /** The sidecar `path`, whose block is the one next to it. */
   def read(path: Path): BlockMeta = {
-    val p = new Properties()
-    val in = Files.newInputStream(path)
-    try p.load(in)
-    finally in.close()
+    val p = SharedStorage.readProperties(path).getOrElse(throw new NoSuchFileException(path.toString))
+    def long(key: String): Long = p(key).toLong
     BlockMeta(
-      zone = p.getProperty("zone"),
-      blockId = p.getProperty("blockId").toLong,
-      file = p.getProperty("file"),
-      count = p.getProperty("count").toLong,
-      minDevice = p.getProperty("minDevice").toLong,
-      maxDevice = p.getProperty("maxDevice").toLong,
-      minMsg = p.getProperty("minMsg").toLong,
-      maxMsg = p.getProperty("maxMsg").toLong,
-      coveredLo = p.getProperty("coveredLo").toLong,
-      coveredHi = p.getProperty("coveredHi").toLong,
-      psn = p.getProperty("psn").toLong)
+      zone = p("zone"),
+      blockId = long("blockId"),
+      file = ShardFiles.blockFile(path.getParent, long("blockId")).toString,
+      count = long("count"),
+      minDevice = long("minDevice"),
+      maxDevice = long("maxDevice"),
+      minMsg = long("minMsg"),
+      maxMsg = long("maxMsg"),
+      coveredLo = long("coveredLo"),
+      coveredHi = long("coveredHi"),
+      psn = long("psn"))
   }
 
-  /** All block metas under `dir` (files named *.blockmeta). */
+  /** All block metas under `dir` (its sidecar files). */
   def listIn(dir: Path): Seq[BlockMeta] =
     if (!Files.exists(dir)) Seq.empty
     else Files.list(dir).iterator().asScala
-      .filter(_.getFileName.toString.endsWith(".blockmeta"))
+      .filter(_.getFileName.toString.endsWith(ShardFiles.MetaSuffix))
       .map(read)
       .toSeq
       .sortBy(_.blockId)

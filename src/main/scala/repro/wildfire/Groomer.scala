@@ -27,10 +27,10 @@ final class Groomer(
   def beginTsOf(groomSeq: Long, commitSeq: Int): Long =
     (groomSeq << CommitSeqBits) | (commitSeq & ((1 << CommitSeqBits) - 1))
 
-  /** Groom one cycle: returns the new block's metadata, or None if the live
-    * zone had nothing committed.
+  /** Groom one cycle into block `groomSeq`: returns its metadata, or None
+    * if the live zone had nothing committed.
     */
-  def groom(upserts: Array[Upsert], groomSeq: Long, blockId: Long): Option[BlockMeta] = {
+  def groom(upserts: Array[Upsert], groomSeq: Long): Option[BlockMeta] = {
     if (upserts.isEmpty) return None
 
     // Merge in time order and assign monotonic beginTS; the record offset in
@@ -38,26 +38,14 @@ final class Groomer(
     val rows = upserts.sortBy(_.commitSeq).zipWithIndex.map { case (u, off) =>
       Array(u.deviceId, u.msgNum, u.value, beginTsOf(groomSeq, u.commitSeq), off.toLong)
     }
-    val file = groomedDir.resolve(s"block-$blockId.parquet")
-    ParquetIo.writeLongRows(file, Groomer.Columns, rows)
-
-    val meta = BlockMeta(
-      zone = ZoneId.Groomed.name,
-      blockId = blockId,
-      file = file.toString,
-      count = rows.length,
-      minDevice = rows.iterator.map(_(0)).min,
-      maxDevice = rows.iterator.map(_(0)).max,
-      minMsg = rows.iterator.map(_(1)).min,
-      maxMsg = rows.iterator.map(_(1)).max)
-    meta.write(groomedDir.resolve(s"block-$blockId.blockmeta"))
+    val meta = ShardFiles.writeBlock(groomedDir, ZoneId.Groomed, groomSeq, Groomer.Columns, rows)
 
     // Index build over the newly groomed block (paper §5.2).
     val entries = rows.map { case Array(device, msg, value, ts, off) =>
       IndexEntry(Array(device), Array(msg), ts,
-        Rid(ZoneId.Groomed, blockId, off.toInt), Array(value))
+        Rid(ZoneId.Groomed, groomSeq, off.toInt), Array(value))
     }
-    index.addGroomedRun(entries, BlockRange(blockId, blockId))
+    index.addGroomedRun(entries, BlockRange(groomSeq, groomSeq))
     Some(meta)
   }
 }

@@ -11,12 +11,9 @@ import repro.storage.SharedStorage
   * post-groomed blocks, atomically adding it to the post-groomed run list,
   * raising the covered-groomed-ID watermark and garbage-collecting covered
   * groomed runs. After each evolve the watermark and IndexedPSN are
-  * checkpointed to shared storage for recovery (paper §5.5).
+  * checkpointed to the shared storage it polls, for recovery (paper §5.5).
   */
-final class Indexer(
-    postGroomer: PostGroomer,
-    index: UmziIndex,
-    runStorage: Option[SharedStorage] = None) {
+final class Indexer(index: UmziIndex, storage: SharedStorage) {
 
   @volatile private var _indexedPsn: Long = -1L
 
@@ -27,22 +24,21 @@ final class Indexer(
 
   /** Poll MaxPSN and evolve once per pending PSN; returns evolve count. */
   def poll(): Int = {
-    val (maxPsn, _, nextBlockId) = postGroomer.readState()
+    val view = new PublishedView(storage.root)
     var n = 0
-    while (_indexedPsn < maxPsn) {
-      evolveOne(_indexedPsn + 1, nextBlockId)
+    while (_indexedPsn < view.maxPsn) {
+      evolveOne(_indexedPsn + 1, view.postGroomed)
       n += 1
     }
     n
   }
 
-  /** Evolve the published blocks of `psn`: those below the published
-    * `nextBlockId`. A post-groom that stopped before publishing may have left
-    * more blocks with the same PSN, which the post-groom that redid it
-    * replaced.
+  /** Evolve the `published` post-groomed blocks of `psn`. A post-groom that
+    * stopped before publishing may have left more blocks with the same PSN,
+    * which the post-groom that redid it replaced.
     */
-  private def evolveOne(psn: Long, nextBlockId: Long): Unit = {
-    val metas = BlockMeta.listIn(postGroomer.postDir).filter(m => m.psn == psn && m.blockId < nextBlockId)
+  private def evolveOne(psn: Long, published: Seq[BlockMeta]): Unit = {
+    val metas = published.filter(_.psn == psn)
     require(metas.nonEmpty, s"no post-groomed blocks published for PSN $psn")
     val entries = metas.flatMap { m =>
       ParquetIo.readLongRows(m.file, "deviceId", "msgNum", "value", "beginTS", "offset")
@@ -54,6 +50,6 @@ final class Indexer(
     val covered = BlockRange(metas.head.coveredLo, metas.head.coveredHi)
     index.evolve(entries, covered)
     _indexedPsn = psn
-    runStorage.foreach(_.writeCheckpoint(index.maxCoveredGroomedId, psn))
+    storage.writeCheckpoint(index.maxCoveredGroomedId, psn)
   }
 }

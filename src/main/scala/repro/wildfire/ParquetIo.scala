@@ -1,6 +1,6 @@
 package repro.wildfire
 
-import java.nio.file.{Files, Path, Paths, StandardCopyOption}
+import java.nio.file.{Path, Paths}
 import org.apache.hadoop.conf.Configuration
 import org.apache.parquet.conf.HadoopParquetConfiguration
 import org.apache.parquet.example.data.Group
@@ -11,14 +11,15 @@ import org.apache.parquet.hadoop.example.{ExampleParquetWriter, GroupReadSupport
 import org.apache.parquet.hadoop.metadata.CompressionCodecName
 import org.apache.parquet.io.{LocalInputFile, LocalOutputFile}
 import org.apache.parquet.schema.{MessageType, PrimitiveType, Type, Types}
+import repro.storage.SharedStorage
 import scala.jdk.CollectionConverters._
 
 /** Reads and writes one logical zone block as exactly one Parquet file.
   *
   * Wildfire prefers a small number of large files on shared storage (paper
-  * §1); each groomed / post-groomed block is a single Parquet file whose
-  * path is recorded in its [[BlockMeta]] sidecar. Both directions run in
-  * process with parquet-mr, without a Spark job.
+  * §1); each groomed / post-groomed block is a single Parquet file with its
+  * [[BlockMeta]] sidecar next to it. Both directions run in process with
+  * parquet-mr, without a Spark job.
   */
 object ParquetIo {
 
@@ -28,16 +29,14 @@ object ParquetIo {
 
   /** Write `rows` as the single Parquet file `target`: one `required int64`
     * column per name in `cols`, in that order, row `r` holding `rows(r)`;
-    * SNAPPY-compressed, as Spark writes. The file is written under a
-    * temporary name in the same directory (dot-prefixed, `.tmp` suffix, so
-    * no block or delta listing matches it) and atomically renamed, so a
-    * crash never leaves a torn file under a block name.
+    * SNAPPY-compressed, as Spark writes. Written with
+    * [[SharedStorage.writeAtomically]], so a crash never leaves a torn file
+    * under a block name.
     */
   def writeLongRows(target: Path, cols: Seq[String], rows: Array[Array[Long]]): Unit = {
     val schema = new MessageType("block",
       cols.map(c => Types.required(PrimitiveType.PrimitiveTypeName.INT64).named(c): Type).asJava)
-    val tmp = Files.createTempFile(target.getParent, s".${target.getFileName}.", ".tmp")
-    try {
+    SharedStorage.writeAtomically(target) { tmp =>
       val writer = ExampleParquetWriter.builder(new LocalOutputFile(tmp))
         .withConf(conf)
         .withType(schema)
@@ -54,8 +53,7 @@ object ParquetIo {
           writer.write(g)
         }
       } finally writer.close()
-      Files.move(tmp, target, StandardCopyOption.ATOMIC_MOVE)
-    } finally Files.deleteIfExists(tmp)
+    }
   }
 
   /** The long columns `cols` of every row of the block file `file`, in file

@@ -1,8 +1,8 @@
 package repro.wildfire
 
 import java.nio.file.{Files, Path}
-import java.util.Properties
 import repro.core._
+import repro.storage.SharedStorage
 import scala.collection.mutable.ArrayBuffer
 
 /** Result of one post-groom operation (paper §2.1, §5.4). */
@@ -25,52 +25,36 @@ final case class PostGroomResult(
   *     (`msgNum` ranges) into fewer, larger Parquet blocks;
   *  4. publishes the PSN metadata and bumps MaxPSN for the indexer to poll.
   */
-final class PostGroomer(
-    sharedRoot: Path,
-    index: UmziIndex,
-    targetBlocksPerPostGroom: Int = 4) {
+final class PostGroomer(sharedRoot: Path, index: UmziIndex) {
 
-  val postDir: Path = sharedRoot.resolve("postgroomed")
-  val endtsDir: Path = sharedRoot.resolve("endts")
+  val postDir: Path = ShardFiles.zoneDir(sharedRoot, ZoneId.PostGroomed)
+  val endtsDir: Path = ShardFiles.endtsDir(sharedRoot)
   Files.createDirectories(postDir)
   Files.createDirectories(endtsDir)
 
   /** (maxPsn, coveredGroomedHi, nextPostBlockId) published on shared storage. */
   def readState(): (Long, Long, Long) = PostGroomer.readState(sharedRoot)
 
-  private def writeState(maxPsn: Long, coveredHi: Long, nextBlockId: Long): Unit = {
-    val p = new Properties()
-    p.setProperty("maxPsn", maxPsn.toString)
-    p.setProperty("coveredHi", coveredHi.toString)
-    p.setProperty("nextBlockId", nextBlockId.toString)
-    val tmp = Files.createTempFile(sharedRoot, "state", ".tmp")
-    val out = Files.newOutputStream(tmp)
-    try p.store(out, "postgroom state")
-    finally out.close()
-    Files.move(tmp, PostGroomer.stateFile(sharedRoot), java.nio.file.StandardCopyOption.ATOMIC_MOVE,
-      java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-  }
-
-  /** Post-groom all groomed blocks in `groomedMetas` (must be the contiguous
-    * not-yet-covered range). Returns None when there is nothing to do.
+  /** Post-groom the groomed blocks the published state does not cover yet.
+    * Returns None when there is nothing to do.
     */
-  def postGroom(groomedMetas: Seq[BlockMeta]): Option[PostGroomResult] = {
-    if (groomedMetas.isEmpty) return None
-    val (maxPsn, coveredHi, nextBlockId) = readState()
-    val psn = maxPsn + 1
-    val newCoveredLo = groomedMetas.map(_.blockId).min
-    val newCoveredHi = groomedMetas.map(_.blockId).max
-    require(newCoveredLo > coveredHi, s"groomed blocks $newCoveredLo..$newCoveredHi already covered")
+  def postGroom(): Option[PostGroomResult] = {
+    val view = new PublishedView(sharedRoot)
+    if (view.groomed.isEmpty) return None
+    val psn = view.maxPsn + 1
+    val nextBlockId = view.nextBlockId
+    val newCoveredLo = view.groomed.head.blockId
+    val newCoveredHi = view.groomed.last.blockId
 
     // Scan the newly groomed blocks: rows of (deviceId, msgNum, value, beginTS).
-    val raw = groomedMetas.toArray.flatMap(m =>
+    val raw = view.groomed.toArray.flatMap(m =>
       ParquetIo.readLongRows(m.file, "deviceId", "msgNum", "value", "beginTS"))
 
     // The partition key: contiguous msgNum ranges sized to produce
-    // `targetBlocksPerPostGroom` larger blocks (the floor of a double
+    // `TargetBlocksPerPostGroom` larger blocks (the floor of a double
     // quotient, as SQL's `floor(a / b)` computes it).
     val minMsg = raw.iterator.map(_(1)).min
-    val width = math.max(1L, (raw.iterator.map(_(1)).max - minMsg + 1) / targetBlocksPerPostGroom)
+    val width = math.max(1L, (raw.iterator.map(_(1)).max - minMsg + 1) / PostGroomer.TargetBlocksPerPostGroom)
     def partKey(msg: Long): Long = math.floor((msg - minMsg).toDouble / width).toLong
 
     // One stable sort by (partKey, deviceId, msgNum, beginTS): each output
@@ -128,44 +112,20 @@ final class PostGroomer(
       val delta = replaced.toArray
         .map { case (first, e) => Array(e.rid.blockId, e.rid.offset.toLong, rows(first)(3)) }
         .sortBy(r => (r(0), r(1)))
-      ParquetIo.writeLongRows(PostGroomer.endTsDeltaFile(sharedRoot, psn), Seq("blockId", "offset", "endTS"), delta)
+      ParquetIo.writeLongRows(ShardFiles.endTsDeltaFile(sharedRoot, psn), Seq("blockId", "offset", "endTS"), delta)
     }
 
-    // 4. Write the re-organized blocks, then their sidecars.
+    // 4. Write the re-organized blocks and their sidecars.
     val ends = starts.drop(1) :+ rows.length
-    val blocks = starts.indices.map(b => (nextBlockId + b, out.slice(starts(b), ends(b))))
-    blocks.foreach { case (bid, rs) =>
-      ParquetIo.writeLongRows(postDir.resolve(s"block-$bid.parquet"), PostGroomer.Columns, rs)
-    }
-    val metas = blocks.map { case (bid, rs) =>
-      val meta = BlockMeta(
-        zone = ZoneId.PostGroomed.name,
-        blockId = bid,
-        file = postDir.resolve(s"block-$bid.parquet").toString,
-        count = rs.length,
-        minDevice = rs.iterator.map(_(0)).min, maxDevice = rs.iterator.map(_(0)).max,
-        minMsg = rs.iterator.map(_(1)).min, maxMsg = rs.iterator.map(_(1)).max,
-        coveredLo = newCoveredLo, coveredHi = newCoveredHi,
-        psn = psn)
-      meta.write(postDir.resolve(s"block-$bid.blockmeta"))
-      meta
+    val metas = starts.indices.map { b =>
+      ShardFiles.writeBlock(postDir, ZoneId.PostGroomed, nextBlockId + b, PostGroomer.Columns,
+        out.slice(starts(b), ends(b)), newCoveredLo, newCoveredHi, psn)
     }
 
     // 5. Publish: the indexer polls MaxPSN and evolves the index (Fig 5).
-    writeState(psn, newCoveredHi, nextBlockId + blocks.length)
+    PostGroomer.writeState(sharedRoot, psn, newCoveredHi, nextBlockId + metas.length)
     Some(PostGroomResult(psn, BlockRange(newCoveredLo, newCoveredHi), metas))
   }
-
-  /** Mark groomed blocks as deprecated after they are covered; Wildfire
-    * eventually deletes them to reclaim space (paper §5.4).
-    */
-  def deprecateGroomedBlocks(groomedDir: Path, coveredHi: Long): Unit =
-    BlockMeta.listIn(groomedDir)
-      .filter(_.blockId <= coveredHi)
-      .foreach { m =>
-        Files.deleteIfExists(Path.of(m.file))
-        Files.deleteIfExists(groomedDir.resolve(s"block-${m.blockId}.blockmeta"))
-      }
 }
 
 object PostGroomer {
@@ -174,24 +134,18 @@ object PostGroomer {
   val Columns: Seq[String] = Seq("deviceId", "msgNum", "value", "beginTS", "endTS",
     "prevZone", "prevBlock", "prevOffset", "offset")
 
-  private def stateFile(sharedRoot: Path): Path = sharedRoot.resolve("postgroom-state")
-
-  /** The endTS delta file that post-groom `psn` writes under `sharedRoot`. */
-  def endTsDeltaFile(sharedRoot: Path, psn: Long): Path =
-    sharedRoot.resolve("endts").resolve(s"psn-$psn.parquet")
+  /** About how many blocks one post-groom re-organizes its records into. */
+  val TargetBlocksPerPostGroom: Int = 4
 
   /** (maxPsn, coveredGroomedHi, nextPostBlockId) published under `sharedRoot`;
     * the one parser of the state file, shared by every reader of the shard.
     */
-  def readState(sharedRoot: Path): (Long, Long, Long) = {
-    val file = stateFile(sharedRoot)
-    if (Files.exists(file)) {
-      val p = new Properties()
-      val in = Files.newInputStream(file)
-      try p.load(in)
-      finally in.close()
-      (p.getProperty("maxPsn").toLong, p.getProperty("coveredHi").toLong,
-        p.getProperty("nextBlockId").toLong)
-    } else (-1L, -1L, 1_000_000L)
-  }
+  def readState(sharedRoot: Path): (Long, Long, Long) =
+    SharedStorage.readProperties(ShardFiles.stateFile(sharedRoot)).fold((-1L, -1L, 1_000_000L))(p =>
+      (p("maxPsn").toLong, p("coveredHi").toLong, p("nextBlockId").toLong))
+
+  /** Atomically publish the state that [[readState]] reads. */
+  def writeState(sharedRoot: Path, maxPsn: Long, coveredHi: Long, nextBlockId: Long): Unit =
+    SharedStorage.writeProperties(ShardFiles.stateFile(sharedRoot),
+      "maxPsn" -> maxPsn, "coveredHi" -> coveredHi, "nextBlockId" -> nextBlockId)
 }

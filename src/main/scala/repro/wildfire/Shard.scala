@@ -1,6 +1,6 @@
 package repro.wildfire
 
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.storage.{CacheManager, SharedStorage, TierConfig}
@@ -12,48 +12,35 @@ import repro.storage.{CacheManager, SharedStorage, TierConfig}
   * `(deviceId, msgNum)`, sharding key `deviceId`, partition key = `msgNum`
   * ranges. The shard wires together the live zone, groomer, post-groomer,
   * indexer, the Umzi index instance, the tiered cache manager and shared
-  * storage under one directory:
-  *
-  * {{{
-  *   <root>/shared/groomed/        groomed Parquet blocks + sidecar metas
-  *   <root>/shared/postgroomed/    post-groomed Parquet blocks + metas
-  *   <root>/shared/endts/          append-only endTS delta files
-  *   <root>/shared/index-runs/     persisted index runs
-  * }}}
+  * storage under `<root>/shared`: the zones' files as [[ShardFiles]] lays
+  * them out, and the persisted index runs and checkpoint of
+  * [[SharedStorage]].
   *
   * Groom and post-groom run in process (parquet-mr block writes over plain
   * arrays); `spark` is the session that DSv2 queries over the shard use.
   */
-final class Shard(
-    val spark: SparkSession,
-    val root: Path,
-    indexConfig: UmziConfig = Shard.defaultConfig,
-    tiers: TierConfig = TierConfig()) {
-
-  require(indexConfig.defn.nEq == 1 && indexConfig.defn.nSort == 1 &&
-    indexConfig.defn.nIncluded == 1,
-    "shard schema expects one equality (deviceId), one sort (msgNum), one included (value) column")
+final class Shard(val spark: SparkSession, val root: Path) {
 
   val sharedRoot: Path = root.resolve("shared")
-  val groomedDir: Path = sharedRoot.resolve("groomed")
-  Files.createDirectories(groomedDir)
+  val groomedDir: Path = ShardFiles.zoneDir(sharedRoot, ZoneId.Groomed)
 
   val runStorage: SharedStorage = new SharedStorage(sharedRoot)
-  val cache: CacheManager = new CacheManager(tiers, Some(runStorage))
-  val index: UmziIndex = new UmziIndex(indexConfig, cache)
+  val cache: CacheManager = new CacheManager(TierConfig(), Some(runStorage))
+  val index: UmziIndex = new UmziIndex(Shard.defaultConfig, cache)
 
   val liveZone: LiveZone = new LiveZone
   val groomer: Groomer = new Groomer(groomedDir, index)
   val postGroomer: PostGroomer = new PostGroomer(sharedRoot, index)
-  val indexer: Indexer = new Indexer(postGroomer, index, Some(runStorage))
+  val indexer: Indexer = new Indexer(index, runStorage)
 
   // The next groomed block ID, which is also the groom sequence number that
   // beginTS derives from. Resume it after a restart so beginTS stays
-  // monotonic: continue past both surviving groomed blocks and the
+  // monotonic: continue past both the uncovered groomed blocks and the
   // post-groomed coverage watermark.
-  private var nextGroomedBlockId: Long = math.max(
-    BlockMeta.listIn(groomedDir).map(_.blockId).maxOption.map(_ + 1).getOrElse(0L),
-    postGroomer.readState()._2 + 1)
+  private var nextGroomedBlockId: Long = {
+    val view = new PublishedView(sharedRoot)
+    view.groomed.lastOption.fold(view.coveredHi + 1)(_.blockId + 1)
+  }
 
   /** Commit a transaction's upserts into the live zone. */
   def ingest(batch: Iterable[Upsert]): Unit = liveZone.ingest(batch)
@@ -61,17 +48,13 @@ final class Shard(
   /** One groom cycle (paper: every second). */
   def groomOnce(): Option[BlockMeta] = {
     val drained = liveZone.drain()
-    val meta = groomer.groom(drained, nextGroomedBlockId, nextGroomedBlockId)
+    val meta = groomer.groom(drained, nextGroomedBlockId)
     if (meta.isDefined) nextGroomedBlockId += 1
     meta
   }
 
   /** One post-groom cycle (paper: every 10 minutes / 20 s in experiments). */
-  def postGroomOnce(): Option[PostGroomResult] = {
-    val (_, coveredHi, _) = postGroomer.readState()
-    val pending = BlockMeta.listIn(groomedDir).filter(_.blockId > coveredHi)
-    postGroomer.postGroom(pending)
-  }
+  def postGroomOnce(): Option[PostGroomResult] = postGroomer.postGroom()
 
   /** Let the indexer catch up on published PSNs (index evolve). */
   def indexerPoll(): Int = indexer.poll()
@@ -94,7 +77,7 @@ final class Shard(
     */
   def recoverIndex(): Seq[Long] = {
     val (watermark, psn) = runStorage.readCheckpoint()
-    val discarded = index.recover(runStorage.listRuns(indexConfig.defn), watermark)
+    val discarded = index.recover(runStorage.listRuns(Shard.defaultDefn), watermark)
     indexer.restoreIndexedPsn(psn)
     discarded
   }

@@ -1,9 +1,11 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
 import repro.core._
 import repro.core.Fixtures._
+import repro.wildfire.{BlockMeta, PostGroomer, ShardFiles}
+import scala.jdk.CollectionConverters._
 
 /** Append-only shared-storage semantics for index runs (paper §6, §5.5). */
 class SharedStorageSpec extends AnyFunSuite {
@@ -57,5 +59,56 @@ class SharedStorageSpec extends AnyFunSuite {
     val dir = Files.createTempDirectory("umzi-shared2")
     new SharedStorage(dir).writeCheckpoint(9L, 2L)
     assert(new SharedStorage(dir).readCheckpoint() == ((9L, 2L)))
+  }
+
+  private def listing(dir: Path): Seq[String] =
+    Files.list(dir).iterator().asScala.map(_.getFileName.toString).toSeq.sorted
+
+  test("a write that throws leaves no temporary file and the target as it was") {
+    val dir = Files.createTempDirectory("umzi-atomic")
+    def failingWrite(target: Path): Unit = {
+      val e = intercept[IllegalStateException] {
+        SharedStorage.writeAtomically(target) { tmp =>
+          Files.write(tmp, "half a file".getBytes("UTF-8"))
+          throw new IllegalStateException("disk gone")
+        }
+      }
+      assert(e.getMessage == "disk gone")
+    }
+    failingWrite(dir.resolve("absent"))
+    assert(listing(dir).isEmpty)
+
+    val present = dir.resolve("present")
+    SharedStorage.writeAtomically(present)(Files.write(_, "whole".getBytes("UTF-8")))
+    failingWrite(present)
+    assert(listing(dir) == Seq("present"))
+    assert(new String(Files.readAllBytes(present), "UTF-8") == "whole")
+  }
+
+  /** Drop `key` from the Properties file `file`; `read` then fails naming
+    * the file and the key.
+    */
+  private def assertNamesMissingKey(file: Path, key: String)(read: => Any): Unit = {
+    val lines = Files.readAllLines(file).asScala
+    assert(lines.exists(_.startsWith(s"$key=")), lines)
+    Files.write(file, lines.filterNot(_.startsWith(s"$key=")).asJava)
+    val e = intercept[IllegalStateException](read)
+    assert(e.getMessage.contains(file.toString) && e.getMessage.contains(s"'$key'"), e.getMessage)
+  }
+
+  test("a sidecar, post-groom state or checkpoint without a key fails naming the file and the key") {
+    val dir = Files.createTempDirectory("umzi-props")
+    val meta = BlockMeta("groomed", 3, ShardFiles.blockFile(dir, 3).toString, 10, 0, 1, 5, 9)
+    meta.write(dir)
+    assert(BlockMeta.read(ShardFiles.metaFile(dir, 3)) == meta)
+    assertNamesMissingKey(ShardFiles.metaFile(dir, 3), "maxMsg")(BlockMeta.read(ShardFiles.metaFile(dir, 3)))
+
+    PostGroomer.writeState(dir, 2, 7, 1_000_004)
+    assert(PostGroomer.readState(dir) == ((2L, 7L, 1_000_004L)))
+    assertNamesMissingKey(ShardFiles.stateFile(dir), "coveredHi")(PostGroomer.readState(dir))
+
+    val s = new SharedStorage(dir)
+    s.writeCheckpoint(7, 2)
+    assertNamesMissingKey(dir.resolve("index-checkpoint"), "indexedPsn")(s.readCheckpoint())
   }
 }

@@ -10,7 +10,7 @@ object PostGroomFaults {
     * `postgroom-state` file back as it was (deleting it for the first PSN).
     */
   def postGroomWithoutPublish(shard: Shard): Unit = {
-    val state = shard.sharedRoot.resolve("postgroom-state")
+    val state = ShardFiles.stateFile(shard.sharedRoot)
     val before = if (Files.exists(state)) Some(Files.readAllBytes(state)) else None
     require(shard.postGroomOnce().isDefined, "nothing to post-groom")
     before match {

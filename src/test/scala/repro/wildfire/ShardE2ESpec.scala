@@ -6,6 +6,7 @@ import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.dsv2.UmziSnapshot
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** End-to-end shard lifecycle: ingest -> groom -> post-groom -> evolve,
   * with index lookups and unified snapshot scans checked against a model
@@ -65,11 +66,10 @@ class ShardE2ESpec extends SparkSpec {
     }
   }
 
-  test("unified snapshot scan matches DuckDB over the full version history") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
-    drive(shard, cycles = 6, perCycle = 30, postGroomEvery = 3,
-      updatePercent = 40.0, seed = 62)
-    val hist = history(shard)
+  /** The latest snapshot equals DuckDB's latest version per key of the
+    * full version history.
+    */
+  private def assertSnapshotMatchesOracle(shard: Shard): Unit = {
     val snap = UmziSnapshot.scan(spark, shard.sharedRoot.toString)
       .select("deviceId", "msgNum", "value", "beginTS")
     Oracle.assertEquivalent(snap,
@@ -79,7 +79,14 @@ class ShardE2ESpec extends SparkSpec {
         |                            ORDER BY CAST(beginTS AS BIGINT) DESC) AS rn
         |  FROM hist
         |) WHERE rn = 1""".stripMargin,
-      "hist" -> hist)
+      "hist" -> history(shard))
+  }
+
+  test("unified snapshot scan matches DuckDB over the full version history") {
+    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
+    drive(shard, cycles = 6, perCycle = 30, postGroomEvery = 3,
+      updatePercent = 40.0, seed = 62)
+    assertSnapshotMatchesOracle(shard)
   }
 
   test("time-travel snapshot matches DuckDB at a historical timestamp") {
@@ -132,5 +139,39 @@ class ShardE2ESpec extends SparkSpec {
     val meta = revived.groomOnce().get
     assert(meta.blockId > 3, "block IDs must continue past pre-crash blocks")
     assert(revived.lookup(1, 999_999).get.includedValues(0) == 42)
+  }
+
+  test("a shard whose root moved recovers, reads and grooms from the new root") {
+    val root = Files.createTempDirectory("umzi-e2e")
+    val shard = new Shard(spark, root)
+    val model = drive(shard, cycles = 5, perCycle = 30, postGroomEvery = 2,
+      updatePercent = 25.0, seed = 66)
+    def answers(s: Shard): Seq[Option[(Rid, Long, Long)]] = model.keys.toSeq.sorted.map { case (dev, msg) =>
+      s.lookup(dev, msg).map(e => (e.rid, e.beginTS, e.includedValues(0)))
+    }
+    val before = answers(shard)
+
+    val moved = root.resolveSibling(s"${root.getFileName}-moved")
+    Files.move(root, moved)
+    val revived = new Shard(spark, moved)
+    revived.recoverIndex()
+    assert(answers(revived) == before)
+
+    // groom, post-groom (which reads the groomed block left uncovered) and poll
+    model ++= drive(revived, cycles = 2, perCycle = 30, postGroomEvery = 2,
+      updatePercent = 25.0, seed = 67)
+    assert(revived.indexer.indexedPsn == shard.indexer.indexedPsn + 1)
+    model.foreach { case ((dev, msg), v) =>
+      assert(revived.lookup(dev, msg).get.includedValues(0) == v, s"key ($dev,$msg)")
+    }
+    assertSnapshotMatchesOracle(revived)
+
+    val sidecars = Seq(revived.groomedDir, revived.postGroomer.postDir).flatMap(dir =>
+      Files.list(dir).iterator().asScala.filter(_.getFileName.toString.endsWith(ShardFiles.MetaSuffix)))
+    assert(sidecars.nonEmpty)
+    sidecars.foreach { f =>
+      val text = new String(Files.readAllBytes(f), "UTF-8")
+      assert(!text.contains(root.toString) && !text.contains(moved.toString), s"$f names a path")
+    }
   }
 }

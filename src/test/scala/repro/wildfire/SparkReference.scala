@@ -1,7 +1,6 @@
 package repro.wildfire
 
 import java.nio.file.{Files, Path}
-import java.util.Properties
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -31,7 +30,8 @@ object SparkReference {
 
   /** [[Groomer.groom]] with its block written by a Spark job. */
   def groom(spark: SparkSession, groomer: Groomer, groomedDir: Path, index: UmziIndex,
-      upserts: Array[Upsert], groomSeq: Long, blockId: Long): Option[BlockMeta] = {
+      upserts: Array[Upsert], groomSeq: Long): Option[BlockMeta] = {
+    val blockId = groomSeq
     if (upserts.isEmpty) return None
     import spark.implicits._
     val rows = upserts.sortBy(_.commitSeq).zipWithIndex.map { case (u, off) =>
@@ -39,7 +39,7 @@ object SparkReference {
     }
     val df: DataFrame = rows.toSeq
       .toDF("deviceId", "msgNum", "value", "beginTS", "offset")
-    val file = groomedDir.resolve(s"block-$blockId.parquet")
+    val file = ShardFiles.blockFile(groomedDir, blockId)
     writeSingleFile(df.sort($"offset"), file)
     val meta = BlockMeta(
       zone = ZoneId.Groomed.name,
@@ -50,7 +50,7 @@ object SparkReference {
       maxDevice = rows.iterator.map(_._1).max,
       minMsg = rows.iterator.map(_._2).min,
       maxMsg = rows.iterator.map(_._2).max)
-    meta.write(groomedDir.resolve(s"block-$blockId.blockmeta"))
+    meta.write(groomedDir)
     val entries = rows.map { case (device, msg, value, ts, off) =>
       IndexEntry(Array(device), Array(msg), ts,
         Rid(ZoneId.Groomed, blockId, off.toInt), Array(value))
@@ -64,18 +64,18 @@ object SparkReference {
     * block IDs and replaced RIDs, and one filtered write per block.
     */
   def postGroom(spark: SparkSession, sharedRoot: Path, index: UmziIndex,
-      groomedMetas: Seq[BlockMeta], targetBlocksPerPostGroom: Int = 4): Option[PostGroomResult] = {
+      targetBlocksPerPostGroom: Int = 4): Option[PostGroomResult] = {
+    val view = new PublishedView(sharedRoot)
+    val groomedMetas = view.groomed
     if (groomedMetas.isEmpty) return None
     import spark.implicits._
-    val postDir = sharedRoot.resolve("postgroomed")
-    val endtsDir = sharedRoot.resolve("endts")
+    val postDir = ShardFiles.zoneDir(sharedRoot, ZoneId.PostGroomed)
     Files.createDirectories(postDir)
-    Files.createDirectories(endtsDir)
-    val (maxPsn, coveredHi, nextBlockId) = PostGroomer.readState(sharedRoot)
-    val psn = maxPsn + 1
+    Files.createDirectories(ShardFiles.endtsDir(sharedRoot))
+    val psn = view.maxPsn + 1
+    val nextBlockId = view.nextBlockId
     val newCoveredLo = groomedMetas.map(_.blockId).min
     val newCoveredHi = groomedMetas.map(_.blockId).max
-    require(newCoveredLo > coveredHi, s"groomed blocks $newCoveredLo..$newCoveredHi already covered")
 
     val raw: DataFrame = groomedMetas.map { m =>
       spark.read.parquet(m.file)
@@ -100,7 +100,7 @@ object SparkReference {
       }
       writeSingleFile(
         deltaRows.toDF("blockId", "offset", "endTS"),
-        endtsDir.resolve(s"psn-$psn.parquet"))
+        ShardFiles.endTsDeltaFile(sharedRoot, psn))
     }
 
     val prevFromIndex = replaced.map { case ((d, m), e) =>
@@ -145,7 +145,7 @@ object SparkReference {
       val metas = partKeys.map { pk =>
         val bid = blockIdOf(pk)
         val blockDf = withPrev.filter($"blockId" === bid).sort($"offset")
-        val file = postDir.resolve(s"block-$bid.parquet")
+        val file = ShardFiles.blockFile(postDir, bid)
         writeSingleFile(blockDf.drop("partKey", "blockId"), file)
         val stats = blockDf.agg(
           count(lit(1)), min($"deviceId"), max($"deviceId"), min($"msgNum"), max($"msgNum")
@@ -159,26 +159,13 @@ object SparkReference {
           minMsg = stats._4, maxMsg = stats._5,
           coveredLo = newCoveredLo, coveredHi = newCoveredHi,
           psn = psn)
-        meta.write(postDir.resolve(s"block-$bid.blockmeta"))
+        meta.write(postDir)
         meta
       }
-      writeState(sharedRoot, psn, newCoveredHi, nextBlockId + partKeys.length)
+      PostGroomer.writeState(sharedRoot, psn, newCoveredHi, nextBlockId + partKeys.length)
       Some(PostGroomResult(psn, BlockRange(newCoveredLo, newCoveredHi), metas.toSeq))
     } finally {
       withPrev.unpersist()
     }
-  }
-
-  private def writeState(sharedRoot: Path, maxPsn: Long, coveredHi: Long, nextBlockId: Long): Unit = {
-    val p = new Properties()
-    p.setProperty("maxPsn", maxPsn.toString)
-    p.setProperty("coveredHi", coveredHi.toString)
-    p.setProperty("nextBlockId", nextBlockId.toString)
-    val tmp = Files.createTempFile(sharedRoot, "state", ".tmp")
-    val out = Files.newOutputStream(tmp)
-    try p.store(out, "postgroom state")
-    finally out.close()
-    Files.move(tmp, sharedRoot.resolve("postgroom-state"), java.nio.file.StandardCopyOption.ATOMIC_MOVE,
-      java.nio.file.StandardCopyOption.REPLACE_EXISTING)
   }
 }
