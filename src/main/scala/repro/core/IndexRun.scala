@@ -357,7 +357,8 @@ object IndexRun {
         r += 1
       }
       if (best < 0) {
-        val data = Arrays.copyOf(out, written * w)
+        // trim only when an exact duplicate collapsed
+        val data = if (written * w == out.length) out else Arrays.copyOf(out, written * w)
         val range = inputs.map(_.blockRange).reduce(_ union _)
         return fromSortedData(defn, id, zone, level, range, data, entriesPerBlock, ancestors)
       }

@@ -4,6 +4,7 @@ import java.nio.file.{Files, Path, StandardCopyOption}
 import java.util.Properties
 import repro.core.{IndexDef, IndexRun, RunCodec}
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 /** Local-filesystem stand-in for distributed shared storage (HDFS / S3 /
   * GlusterFS in the paper).
@@ -19,27 +20,28 @@ final class SharedStorage(val root: Path) {
   Files.createDirectories(runsDir)
 
   private def runsDir: Path = root.resolve("index-runs")
-  private def runFile(id: Long): Path = runsDir.resolve(s"run-$id.umzi")
+  private[repro] def runFile(id: Long): Path = runsDir.resolve(s"run-$id.umzi")
   private def checkpointFile: Path = root.resolve("index-checkpoint")
 
   /** Persist a run as a new immutable file (append-only semantics). */
   def writeRun(run: IndexRun): Unit =
-    SharedStorage.writeAtomically(runFile(run.id))(Files.write(_, RunCodec.serialize(run)))
+    SharedStorage.writeAtomically(runFile(run.id))(RunCodec.write(run, _))
 
-  def readRun(defn: IndexDef, id: Long): IndexRun =
-    RunCodec.deserialize(defn, Files.readAllBytes(runFile(id)))
+  /** The persisted run `id`; a torn or corrupt file throws an IOException. */
+  def readRun(defn: IndexDef, id: Long): IndexRun = RunCodec.read(defn, runFile(id))
 
   def deleteRun(id: Long): Boolean = Files.deleteIfExists(runFile(id))
 
-  def listRunIds(): Seq[Long] =
-    Files.list(runsDir).iterator().asScala
-      .map(_.getFileName.toString)
-      .collect { case s if s.startsWith("run-") && s.endsWith(".umzi") =>
-        s.stripPrefix("run-").stripSuffix(".umzi").toLong
-      }
-      .toSeq.sorted
+  def listRunIds(): Seq[Long] = Using.resource(Files.list(runsDir))(_.iterator().asScala
+    .map(_.getFileName.toString)
+    .collect { case s if s.startsWith("run-") && s.endsWith(".umzi") =>
+      s.stripPrefix("run-").stripSuffix(".umzi").toLong
+    }
+    .toSeq.sorted)
 
-  /** Load every persisted run (recovery, paper §5.5). */
+  /** Load every persisted run (recovery, paper §5.5); throws if any run
+    * file is torn or corrupt.
+    */
   def listRuns(defn: IndexDef): Seq[IndexRun] = listRunIds().map(readRun(defn, _))
 
   /** Persist (watermark, indexedPSN) after each evolve (paper §5.5). */

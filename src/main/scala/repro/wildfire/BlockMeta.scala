@@ -3,6 +3,7 @@ package repro.wildfire
 import java.nio.file.{Files, NoSuchFileException, Path}
 import repro.storage.SharedStorage
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 /** Metadata sidecar for one columnar data block in a zone.
   *
@@ -59,9 +60,9 @@ object BlockMeta {
   /** All block metas under `dir` (its sidecar files). */
   def listIn(dir: Path): Seq[BlockMeta] =
     if (!Files.exists(dir)) Seq.empty
-    else Files.list(dir).iterator().asScala
+    else Using.resource(Files.list(dir))(_.iterator().asScala
       .filter(_.getFileName.toString.endsWith(ShardFiles.MetaSuffix))
       .map(read)
       .toSeq
-      .sortBy(_.blockId)
+      .sortBy(_.blockId))
 }

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.nio.file.Files
+import repro.storage.SharedStorage
+
 /** Shared helpers for core index tests. */
 object Fixtures {
 
@@ -25,6 +28,13 @@ object Fixtures {
       range: BlockRange = BlockRange(0, 0),
       entriesPerBlock: Int = 8): IndexRun =
     IndexRun.build(defn, id, zone, level, range, entries.toArray, entriesPerBlock)
+
+  /** `run` written to a fresh shared storage and read back from its file. */
+  def persisted(run: IndexRun): IndexRun = {
+    val storage = new SharedStorage(Files.createTempDirectory("umzi-run"))
+    storage.writeRun(run)
+    storage.readRun(run.defn, run.id)
+  }
 
   def ctx(): ReadContext = new ReadContext(StorageHooks.Noop)
 }

@@ -145,7 +145,7 @@ class IndexRunSpec extends AnyFunSuite {
 
   test("RunCodec serialization roundtrips") {
     val run = fig2Run
-    val back = RunCodec.deserialize(I1, RunCodec.serialize(run))
+    val back = persisted(run)
     assert(back.id == run.id && back.zone == run.zone && back.level == run.level)
     assert(back.blockRange == run.blockRange && back.count == run.count)
     assert(back.entriesPerBlock == run.entriesPerBlock)
@@ -162,7 +162,7 @@ class IndexRunSpec extends AnyFunSuite {
     val base = fig2Run
     val run = new IndexRun(base.defn, 7, base.zone, 2, base.blockRange, base.count,
       base.entriesPerBlock, base.synopsis, base.offsetArray, base.data, Seq(1L, 2L, 3L))
-    val back = RunCodec.deserialize(I1, RunCodec.serialize(run))
+    val back = persisted(run)
     assert(back.ancestorRunIds == Seq(1L, 2L, 3L))
   }
 
@@ -178,6 +178,14 @@ class IndexRunSpec extends AnyFunSuite {
     (1 until m.count).foreach { i =>
       assert(KeyCodec.compareUnsigned(m.data, (i - 1) * w, m.data, i * w, w) <= 0)
     }
+  }
+
+  test("merge of duplicate-free inputs keeps every entry and equals one build of them all") {
+    val a = Seq(entry(1, 1, 10), entry(2, 5, 20), entry(3, 2, 30))
+    val b = Seq(entry(1, 1, 11), entry(2, 6, 20), entry(4, 0, 5))
+    val m = IndexRun.merge(I1, 3, ZoneId.Groomed, 1, Seq(buildRun(I1, a, id = 1), buildRun(I1, b, id = 2)))
+    assert(m.count == 6 && m.data.length == 6 * I1.entryWidth)
+    assert(m.data.sameElements(buildRun(I1, a ++ b).data))
   }
 
   test("merge keeps all distinct versions, collapses exact duplicates") {

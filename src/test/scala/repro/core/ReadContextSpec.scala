@@ -19,7 +19,7 @@ class ReadContextSpec extends AnyFunSuite {
     * id of `wide`, `full` fills exactly one word and `small` part of one.
     */
   private val wide = runOf(1, 300, 2)
-  private val copy = RunCodec.deserialize(I1, RunCodec.serialize(wide))
+  private val copy = persisted(wide)
   private val small = runOf(2, 20, 4)
   private val full = runOf(3, 64, 1)
   private val runs = Vector(wide, copy, small, full)

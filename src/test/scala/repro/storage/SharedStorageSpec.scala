@@ -111,4 +111,20 @@ class SharedStorageSpec extends AnyFunSuite {
     s.writeCheckpoint(7, 2)
     assertNamesMissingKey(dir.resolve("index-checkpoint"), "indexedPsn")(s.readCheckpoint())
   }
+
+  test("listing runs and block sidecars closes the directory handle") {
+    val s = storage()
+    s.writeRun(mkRun(1))
+    val dir = Files.createTempDirectory("umzi-listing")
+    BlockMeta("groomed", 0, ShardFiles.blockFile(dir, 0).toString, 1, 0, 0, 0, 0).write(dir)
+    val os = java.lang.management.ManagementFactory.getOperatingSystemMXBean
+      .asInstanceOf[com.sun.management.UnixOperatingSystemMXBean]
+    val before = os.getOpenFileDescriptorCount
+    (0 until 500).foreach { _ =>
+      assert(s.listRunIds() == Seq(1L))
+      assert(BlockMeta.listIn(dir).map(_.blockId) == Seq(0L))
+    }
+    val grown = os.getOpenFileDescriptorCount - before
+    assert(grown < 20, s"$grown more open file descriptors after 500 listings")
+  }
 }
