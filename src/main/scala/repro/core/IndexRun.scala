@@ -49,7 +49,14 @@ final class IndexRun(
 
   @inline private def pos(i: Int): Int = i * defn.entryWidth
 
-  @inline def blockOf(i: Int): Int = i / entriesPerBlock
+  // `blockOf` divides by a multiply and a shift: with l = ceil(log2 d) and
+  // m = ceil(2^(31+l) / d), floor(i * m / 2^(31+l)) == i / d for every
+  // 0 <= i < 2^31, and i * m < 2^63 never overflows.
+  private val blockShift: Int = 31 + (32 - Integer.numberOfLeadingZeros(entriesPerBlock - 1))
+  private val blockMul: Long = ((1L << blockShift) + entriesPerBlock - 1) / entriesPerBlock
+
+  /** Data block holding entry `i`, i.e. `i / entriesPerBlock`. */
+  @inline def blockOf(i: Int): Int = ((i * blockMul) >>> blockShift).toInt
 
   /** Decode the i-th entry (touches its block through `ctx`). */
   def entryAt(i: Int, ctx: ReadContext): IndexEntry = {
@@ -125,6 +132,123 @@ final class IndexRun(
       i += 1
     }
     out
+  }
+
+  /** Unsigned order of entry `i`'s key against the `defn.keyWidth`-byte key
+    * at `keys(kp)`: the order of [[comparePrefix]], compared one big-endian
+    * 8-byte word at a time (every key column is one word). Entries under one
+    * hash tie on their first words, where a word load costs less than a
+    * byte-range compare.
+    */
+  @inline private def compareKey(i: Int, keys: Array[Byte], kp: Int): Int = {
+    val p = pos(i)
+    var w = 0
+    var a = KeyCodec.readLongRaw(data, p)
+    var b = KeyCodec.readLongRaw(keys, kp)
+    while (a == b && w + KeyCodec.LongWidth < defn.keyWidth) {
+      w += KeyCodec.LongWidth
+      a = KeyCodec.readLongRaw(data, p + w)
+      b = KeyCodec.readLongRaw(keys, kp + w)
+    }
+    java.lang.Long.compareUnsigned(a, b)
+  }
+
+  /** [[pointLookup]] of the keys `cand(start until end)` of a batch, at most
+    * [[QueryExec.GroupSize]] of them, in that order: `keys` holds each key's
+    * `defn.keyWidth` bytes at its row number and `hashes` its hash. A hit
+    * stores its entry in `results` at the key's row number. `scratch` holds
+    * at least `4 * GroupSize` ints. Returns the number of hits.
+    *
+    * The binary searches first advance together, one probe per key per round
+    * and without I/O accounting, so the cache misses of different keys
+    * overlap. Then each key in turn replays its probe path, so `ctx` sees
+    * the same first block touches, in the same order, as one [[pointLookup]]
+    * per key: a probe `mid` of [[lowerBound]] goes right exactly when `mid`
+    * is below the search's result.
+    */
+  private[core] def pointLookups(
+      keys: Array[Byte],
+      hashes: Array[Long],
+      cand: Array[Int],
+      start: Int,
+      end: Int,
+      queryTS: Long,
+      ctx: ReadContext,
+      results: Array[Option[IndexEntry]],
+      scratch: Array[Int]): Int = {
+    val kw = defn.keyWidth
+    val g = end - start
+    // scratch: bucket start, bucket end, then the searches' lo and hi
+    val From = 0
+    val Until = g
+    val Lo = 2 * g
+    val Hi = 3 * g
+    val oa = offsetArray.orNull
+    var j = 0
+    while (j < g) {
+      var from = 0
+      var until = count
+      if (oa != null) {
+        val bucket = OffsetArray.bucketOf(hashes(cand(start + j)), oa.bits)
+        from = oa.offsets(bucket)
+        if (bucket + 1 < oa.offsets.length) until = oa.offsets(bucket + 1)
+      }
+      scratch(From + j) = from; scratch(Lo + j) = from
+      scratch(Until + j) = until; scratch(Hi + j) = until
+      j += 1
+    }
+    var searching = true
+    while (searching) {
+      searching = false
+      j = 0
+      while (j < g) {
+        val lo = scratch(Lo + j)
+        val hi = scratch(Hi + j)
+        if (lo < hi) {
+          val mid = (lo + hi) >>> 1
+          val less = compareKey(mid, keys, cand(start + j) * kw) < 0
+          scratch(Lo + j) = if (less) mid + 1 else lo
+          scratch(Hi + j) = if (less) hi else mid
+          searching = true
+        }
+        j += 1
+      }
+    }
+    var hits = 0
+    j = 0
+    while (j < g) {
+      val k = cand(start + j)
+      val found = scratch(Lo + j)
+      val until = scratch(Until + j)
+      var lo = scratch(From + j)
+      var hi = until
+      // A touch of the block touched just before touches nothing new, so
+      // the replay skips it, and stops once the rest of the path lies in
+      // that block. The selects, not branches, keep the unpredictable
+      // left/right step from costing a mispredict per probe.
+      var last = -1
+      while (lo < hi && !(blockOf(lo) == last && blockOf(hi - 1) == last)) {
+        val mid = (lo + hi) >>> 1
+        val block = blockOf(mid)
+        if (block != last) { ctx.touch(this, block); last = block }
+        val right = mid < found
+        lo = if (right) mid + 1 else lo
+        hi = if (right) hi else mid
+      }
+      var i = found
+      while (i < until) {
+        val block = blockOf(i)
+        if (block != last) { ctx.touch(this, block); last = block }
+        if (compareKey(i, keys, k * kw) != 0) i = until
+        else if (tsAt(i) <= queryTS) {
+          results(k) = Some(entryAtUncounted(i)) // its block is touched
+          hits += 1
+          i = until
+        } else i += 1
+      }
+      j += 1
+    }
+    hits
   }
 
   /** Single-run point lookup: most recent version (beginTS <= queryTS) of the
@@ -215,7 +339,7 @@ object IndexRun {
     * Every pass is linear, so no input, not even one key repeated for every
     * row, makes the sort quadratic.
     */
-  private final class RowSorter(rows: Array[Byte], width: Int, order: Array[Int]) {
+  private[core] final class RowSorter(rows: Array[Byte], width: Int, order: Array[Int]) {
     private val scratch = new Array[Int](order.length)
     // bucket starts of the pass at each byte position, allocated on first use
     private val bucketStarts = new Array[Array[Int]](width)

@@ -12,23 +12,35 @@ import scala.collection.mutable.ArrayBuffer
   */
 object QueryExec {
 
+  /** Keys a batch lookup searches for together in one run. */
+  private[core] val GroupSize: Int = 16
+
   /** Encode the full ordering prefix (hash + equality + sort values). */
   def encodeKey(defn: IndexDef, eqValues: Array[Long], sortValues: Array[Long]): (Option[Long], Array[Byte]) = {
+    val bytes = new Array[Byte](defn.keyWidth)
+    val hash = writeKey(defn, eqValues, sortValues, bytes, 0)
+    (if (defn.hasHash) Some(hash) else None, bytes)
+  }
+
+  /** Write the `defn.keyWidth`-byte ordering prefix of a key into `dst` at
+    * `pos`; returns its hash (0 when the index has no hash column).
+    */
+  private def writeKey(defn: IndexDef, eqValues: Array[Long], sortValues: Array[Long],
+      dst: Array[Byte], pos: Int): Long = {
     require(eqValues.length == defn.nEq, s"expected ${defn.nEq} equality values")
     require(sortValues.length == defn.nSort, s"expected ${defn.nSort} sort values")
-    val bytes = new Array[Byte](defn.keyWidth)
-    var p = 0
+    var p = pos
     val hash = if (defn.hasHash) {
       val h = defn.hashOf(eqValues)
-      KeyCodec.writeLongRaw(h, bytes, p)
+      KeyCodec.writeLongRaw(h, dst, p)
       p += KeyCodec.LongWidth
-      Some(h)
-    } else None
+      h
+    } else 0L
     var i = 0
-    while (i < defn.nEq) { KeyCodec.writeLongOrdered(eqValues(i), bytes, p); p += 8; i += 1 }
+    while (i < defn.nEq) { KeyCodec.writeLongOrdered(eqValues(i), dst, p); p += 8; i += 1 }
     i = 0
-    while (i < defn.nSort) { KeyCodec.writeLongOrdered(sortValues(i), bytes, p); p += 8; i += 1 }
-    (hash, bytes)
+    while (i < defn.nSort) { KeyCodec.writeLongOrdered(sortValues(i), dst, p); p += 8; i += 1 }
+    hash
   }
 
   /** Can `run` contain matches for the given equality values and (first)
@@ -114,6 +126,12 @@ object QueryExec {
   /** Batched point lookups against an explicit run snapshot — used by the
     * post-groomer, which consults only the post-groomed portion of the index
     * to find the RIDs of records it is about to replace (paper §2.1, §5.4).
+    *
+    * The keys are encoded once into one flat array and put in stable key
+    * order (equal keys keep their input order). In each run, the keys not yet
+    * found that pass the run's synopsis are looked up [[GroupSize]] at a time
+    * by [[IndexRun.pointLookups]], which touches blocks in the same order as
+    * one [[IndexRun.pointLookup]] per key in key order.
     */
   def batchLookupIn(
       runs: Seq[IndexRun],
@@ -122,28 +140,42 @@ object QueryExec {
       queryTS: Long,
       context: ReadContext): Array[Option[IndexEntry]] = {
     val n = keys.length
-    val encoded = new Array[(Option[Long], Array[Byte])](n)
+    val kw = defn.keyWidth
+    val flat = new Array[Byte](n * kw)
+    val hashes = new Array[Long](n)
+    val order = new Array[Int](n)
+    var sorted = true
     var i = 0
-    while (i < n) { encoded(i) = encodeKey(defn, keys(i)._1, keys(i)._2); i += 1 }
-    // input positions in unsigned key order; the object sort is stable, so
-    // equal keys keep their input order
-    val order = Array.tabulate[Integer](n)(Int.box)
-    Arrays.sort(order, (a: Integer, b: Integer) => Arrays.compareUnsigned(encoded(a)._2, encoded(b)._2))
+    while (i < n) {
+      hashes(i) = writeKey(defn, keys(i)._1, keys(i)._2, flat, i * kw)
+      order(i) = i
+      if (sorted && i > 0 && KeyCodec.compareUnsigned(flat, (i - 1) * kw, flat, i * kw, kw) > 0) sorted = false
+      i += 1
+    }
+    if (!sorted) new IndexRun.RowSorter(flat, kw, order).sort(0, n, 0)
     val results = new Array[Option[IndexEntry]](n)
     Arrays.fill(results.asInstanceOf[Array[AnyRef]], None)
+    val cand = new Array[Int](n)
+    val scratch = new Array[Int](4 * GroupSize)
     var remaining = n
     var r = 0
     while (r < runs.size && remaining > 0) {
       val run = runs(r)
+      var m = 0
       var k = 0
-      while (k < n && remaining > 0) {
-        val idx: Int = order(k)
-        if (results(idx).isEmpty &&
-            runMayMatch(run, keys(idx)._1, keys(idx)._2, keys(idx)._2)) {
-          val hit = run.pointLookup(encoded(idx)._1, encoded(idx)._2, queryTS, context)
-          if (hit.isDefined) { results(idx) = hit; remaining -= 1 }
+      while (k < n) {
+        val idx = order(k)
+        if ((results(idx) eq None) && runMayMatch(run, keys(idx)._1, keys(idx)._2, keys(idx)._2)) {
+          cand(m) = idx
+          m += 1
         }
         k += 1
+      }
+      var g = 0
+      while (g < m) {
+        val end = math.min(g + GroupSize, m)
+        remaining -= run.pointLookups(flat, hashes, cand, g, end, queryTS, context, results, scratch)
+        g = end
       }
       r += 1
     }

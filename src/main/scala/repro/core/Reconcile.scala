@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
+import java.util.Arrays
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
@@ -15,8 +15,23 @@ object Reconcile {
   /** Merge per-run streams in key order with a priority queue. */
   case object PriorityQueueApproach extends Method
 
-  private def keyOf(e: IndexEntry): ArraySeq[Long] =
-    ArraySeq.unsafeWrapArray(e.eqValues) ++ ArraySeq.unsafeWrapArray(e.sortValues)
+  /** Key order: equality values, then sort values, each as signed longs. */
+  private def compareKeys(a: IndexEntry, b: IndexEntry): Int = {
+    val c = Arrays.compare(a.eqValues, b.eqValues)
+    if (c != 0) c else Arrays.compare(a.sortValues, b.sortValues)
+  }
+
+  private def sameKey(a: IndexEntry, b: IndexEntry): Boolean =
+    Arrays.equals(a.eqValues, b.eqValues) && Arrays.equals(a.sortValues, b.sortValues)
+
+  /** An entry's key in the set approach, hashed once. */
+  private final class Key(val e: IndexEntry) {
+    override val hashCode: Int = 31 * Arrays.hashCode(e.eqValues) + Arrays.hashCode(e.sortValues)
+    override def equals(other: Any): Boolean = other match {
+      case k: Key => sameKey(e, k.e)
+      case _ => false
+    }
+  }
 
   /** Set approach: `perRun` holds each run's per-key most-recent matches, in
     * global newest-run-first order. A key already returned by a newer run
@@ -24,11 +39,11 @@ object Reconcile {
     * in-flight evolve can produce across zones (paper §5.4).
     */
   def bySet(perRun: Seq[ArrayBuffer[IndexEntry]]): ArrayBuffer[IndexEntry] = {
-    val seen = mutable.HashSet.empty[ArraySeq[Long]]
+    val seen = mutable.HashSet.empty[Key]
     val out = ArrayBuffer.empty[IndexEntry]
     perRun.foreach { results =>
       results.foreach { e =>
-        if (seen.add(keyOf(e))) out += e
+        if (seen.add(new Key(e))) out += e
       }
     }
     out
@@ -40,29 +55,29 @@ object Reconcile {
     * ties (duplicates across zones carry equal timestamps).
     */
   def byPriorityQueue(perRun: Seq[ArrayBuffer[IndexEntry]]): ArrayBuffer[IndexEntry] = {
-    // queue elements: (key, entry, runRecency, cursor) ordered by key, then
-    // beginTS descending, then run recency (lower = newer)
-    final case class Elem(key: ArraySeq[Long], e: IndexEntry, runIdx: Int, cursor: Int)
-    implicit val keyOrd: Ordering[ArraySeq[Long]] = Ordering.Implicits.seqOrdering
-    val ord: Ordering[Elem] = Ordering.by[Elem, (ArraySeq[Long], Long, Int)](x =>
-      (x.key, -x.e.beginTS, x.runIdx))
-    // scala PriorityQueue is a max-heap; reverse to pop the smallest first
-    val pq = mutable.PriorityQueue.empty[Elem](ord.reverse)
+    // queue elements ordered by key, then beginTS descending, then run
+    // recency (lower = newer)
+    final class Elem(val e: IndexEntry, val runIdx: Int, val cursor: Int)
+    val pq = new java.util.PriorityQueue[Elem](math.max(1, perRun.size), (a: Elem, b: Elem) => {
+      val c = compareKeys(a.e, b.e)
+      if (c != 0) c
+      else if (a.e.beginTS != b.e.beginTS) java.lang.Long.compare(b.e.beginTS, a.e.beginTS)
+      else Integer.compare(a.runIdx, b.runIdx)
+    })
     perRun.zipWithIndex.foreach { case (results, r) =>
-      if (results.nonEmpty) pq.enqueue(Elem(keyOf(results(0)), results(0), r, 0))
+      if (results.nonEmpty) pq.add(new Elem(results(0), r, 0))
     }
     val out = ArrayBuffer.empty[IndexEntry]
-    var lastKey: ArraySeq[Long] = null
-    while (pq.nonEmpty) {
-      val top = pq.dequeue()
-      if (lastKey == null || top.key != lastKey) {
+    var last: IndexEntry = null
+    while (!pq.isEmpty) {
+      val top = pq.poll()
+      if (last == null || !sameKey(top.e, last)) {
         out += top.e
-        lastKey = top.key
+        last = top.e
       }
       val next = top.cursor + 1
       val results = perRun(top.runIdx)
-      if (next < results.size)
-        pq.enqueue(Elem(keyOf(results(next)), results(next), top.runIdx, next))
+      if (next < results.size) pq.add(new Elem(results(next), top.runIdx, next))
     }
     out
   }

@@ -1,7 +1,10 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+import org.scalatest.{Outcome, TestSuite, TestSuiteMixin}
 import repro.storage.SharedStorage
+import scala.collection.mutable.ArrayBuffer
 
 /** Shared helpers for core index tests. */
 object Fixtures {
@@ -31,9 +34,37 @@ object Fixtures {
 
   /** `run` written to a fresh shared storage and read back from its file. */
   def persisted(run: IndexRun): IndexRun = {
-    val storage = new SharedStorage(Files.createTempDirectory("umzi-run"))
-    storage.writeRun(run)
-    storage.readRun(run.defn, run.id)
+    val dir = Files.createTempDirectory("umzi-run")
+    try {
+      val storage = new SharedStorage(dir)
+      storage.writeRun(run)
+      storage.readRun(run.defn, run.id)
+    } finally deleteTree(dir)
+  }
+
+  /** Delete `root` and everything under it, if it exists. */
+  def deleteTree(root: Path): Unit = if (Files.exists(root)) {
+    val paths = Files.walk(root)
+    try paths.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
+    finally paths.close()
+  }
+
+  /** For suites that keep files: [[tempDir]] makes a directory that is
+    * deleted, with everything under it, when the test that made it ends,
+    * whether it passes or not.
+    */
+  trait TempDirs extends TestSuiteMixin { this: TestSuite =>
+    private val made = ArrayBuffer.empty[Path]
+
+    def tempDir(prefix: String): Path = made.synchronized {
+      val dir = Files.createTempDirectory(prefix)
+      made += dir
+      dir
+    }
+
+    abstract override def withFixture(test: NoArgTest): Outcome =
+      try super.withFixture(test)
+      finally made.synchronized { made.foreach(deleteTree); made.clear() }
   }
 
   def ctx(): ReadContext = new ReadContext(StorageHooks.Noop)

@@ -137,6 +137,19 @@ class IndexRunSpec extends AnyFunSuite {
     assert(run.numDataBlocks == 3)
   }
 
+  test("blockOf equals integer division for every index a run may hold") {
+    for (epb <- Seq(1, 2, 3, 7, 8, 100, 511, 512, 1000)) {
+      val run = buildRun(I1, Seq(entry(1, 1, 1)), entriesPerBlock = epb)
+      var i = 0
+      while (i < (1 << 20)) {
+        if (run.blockOf(i) != i / epb) fail(s"entriesPerBlock=$epb i=$i: ${run.blockOf(i)}")
+        i += 1
+      }
+      val largest = Int.MaxValue / I1.entryWidth
+      assert(run.blockOf(largest) == largest / epb, s"entriesPerBlock=$epb")
+    }
+  }
+
   test("header synopsis matches data") {
     val run = fig2Run
     assert(run.synopsis.mins(0) == 1 && run.synopsis.maxs(0) == 8)

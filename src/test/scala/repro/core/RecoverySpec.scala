@@ -1,16 +1,15 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import java.nio.file.Files
 import repro.storage.{CacheManager, SharedStorage, TierConfig}
 import scala.util.Random
 import Fixtures._
 
 /** Index recovery from shared storage (paper §5.5). */
-class RecoverySpec extends AnyFunSuite {
+class RecoverySpec extends AnyFunSuite with TempDirs {
 
   private def newStorage(): SharedStorage =
-    new SharedStorage(Files.createTempDirectory("umzi-recovery"))
+    new SharedStorage(tempDir("umzi-recovery"))
 
   private def cfg = UmziConfig(I1, maxRunsPerLevel = 3, sizeRatio = 3,
     postGroomedStartLevel = 3, maxLevel = 5, entriesPerBlock = 8)

@@ -10,7 +10,7 @@ import scala.util.Random
   * against [[ReferenceRunCodec]], byte for byte, under every index shape;
   * and torn or over-long files failing every read.
   */
-class RunCodecSpec extends AnyFunSuite {
+class RunCodecSpec extends AnyFunSuite with Fixtures.TempDirs {
 
   private val PureRange = IndexDef(Seq.empty, Seq("sort0", "sort1"), Seq("inc0"))
 
@@ -28,7 +28,7 @@ class RunCodecSpec extends AnyFunSuite {
 
   /** A fresh storage holding `runs`. */
   private def storageWith(runs: IndexRun*): SharedStorage = {
-    val s = new SharedStorage(Files.createTempDirectory("umzi-codec"))
+    val s = new SharedStorage(tempDir("umzi-codec"))
     runs.foreach(s.writeRun)
     s
   }

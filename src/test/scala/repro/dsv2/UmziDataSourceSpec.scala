@@ -1,6 +1,6 @@
 package repro.dsv2
 
-import java.nio.file.Files
+import repro.core.Fixtures.TempDirs
 import repro.{Oracle, SparkSpec}
 import repro.wildfire.{Shard, Upsert}
 import repro.wildfire.PostGroomFaults.postGroomWithoutPublish
@@ -8,13 +8,13 @@ import repro.wildfire.PostGroomFaults.postGroomWithoutPublish
 /** DataSourceV2 unified multi-zone scan: consistency, pushdown and data
   * skipping (DESIGN.md §3).
   */
-class UmziDataSourceSpec extends SparkSpec {
+class UmziDataSourceSpec extends SparkSpec with TempDirs {
 
   /** Shard with data spread across both zones: blocks 0-1 post-groomed,
     * blocks 2-3 still groomed-only.
     */
   private def mixedShard(): Shard = {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     def cycle(dev: Long, msgBase: Long): Unit = {
       shard.ingest((0 until 10).map(i => Upsert(dev, msgBase + i, msgBase + i, i)))
       shard.groomOnce()
@@ -45,7 +45,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("updated keys resolve to the latest version in the snapshot") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     shard.ingest(Seq(Upsert(1, 1, 100, 0)))
     shard.groomOnce()
     shard.postGroomOnce(); shard.indexerPoll()
@@ -94,7 +94,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("time travel: queryTS hides later versions") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     shard.ingest(Seq(Upsert(1, 1, 100, 0)))
     shard.groomOnce()
     val ts1 = shard.lookup(1, 1).get.beginTS
@@ -136,7 +136,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("a post-groom that stops before publishing its state stays invisible") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     import spark.implicits._
     def assertRaw(expected: Seq[Upsert]): Unit = {
       val raw = UmziSnapshot.raw(spark, shard.sharedRoot.toString)
@@ -166,7 +166,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("endTS delta hides replaced post-groomed versions at later timestamps") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     shard.ingest(Seq(Upsert(5, 5, 100, 0)))
     shard.groomOnce(); shard.postGroomOnce(); shard.indexerPoll()
     shard.ingest(Seq(Upsert(5, 5, 200, 0)))
@@ -180,7 +180,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("raw time travel returns exactly the version visible at each beginTS") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-dsv2"))
+    val shard = new Shard(spark, tempDir("umzi-dsv2"))
     // one key through three PSNs; the middle PSN carries two versions, so
     // both the delta endTS and the block endTS column decide visibility
     val versions = Seq(Seq(100L), Seq(200L, 300L), Seq(400L)).flatMap { psnValues =>
@@ -205,7 +205,7 @@ class UmziDataSourceSpec extends SparkSpec {
   }
 
   test("a shard root containing a quote scans like any other") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-o'brien"))
+    val shard = new Shard(spark, tempDir("umzi-o'brien"))
     val model = scala.collection.mutable.Map.empty[(Long, Long), Long]
     def cycle(ups: Seq[Upsert]): Unit = {
       shard.ingest(ups); shard.groomOnce()

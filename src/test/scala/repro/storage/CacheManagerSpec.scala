@@ -1,12 +1,11 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
-import java.nio.file.Files
 import repro.core._
 import repro.core.Fixtures._
 
 /** Multi-tier cache management (paper §6.1, §6.2). */
-class CacheManagerSpec extends AnyFunSuite {
+class CacheManagerSpec extends AnyFunSuite with TempDirs {
 
   private val tiers = TierConfig(
     memReadNanosPerBlock = 0L,
@@ -142,7 +141,7 @@ class CacheManagerSpec extends AnyFunSuite {
   }
 
   test("runs persist to shared storage when a SharedStorage is attached") {
-    val s = new SharedStorage(Files.createTempDirectory("umzi-cm"))
+    val s = new SharedStorage(tempDir("umzi-cm"))
     val cm = new CacheManager(tiers, Some(s))
     cm.onRunCreated(mkRun(7), persisted = true)
     assert(s.listRunIds() == Seq(7L))

@@ -8,9 +8,9 @@ import repro.wildfire.{BlockMeta, PostGroomer, ShardFiles}
 import scala.jdk.CollectionConverters._
 
 /** Append-only shared-storage semantics for index runs (paper §6, §5.5). */
-class SharedStorageSpec extends AnyFunSuite {
+class SharedStorageSpec extends AnyFunSuite with TempDirs {
 
-  private def storage() = new SharedStorage(Files.createTempDirectory("umzi-shared"))
+  private def storage() = new SharedStorage(tempDir("umzi-shared"))
 
   private def mkRun(id: Long, lo: Long = 0, hi: Long = 0): IndexRun =
     buildRun(I1, (0 until 16).map(i => entry(i % 4, i, i)), id = id,
@@ -56,7 +56,7 @@ class SharedStorageSpec extends AnyFunSuite {
   }
 
   test("checkpoint survives instance restarts") {
-    val dir = Files.createTempDirectory("umzi-shared2")
+    val dir = tempDir("umzi-shared2")
     new SharedStorage(dir).writeCheckpoint(9L, 2L)
     assert(new SharedStorage(dir).readCheckpoint() == ((9L, 2L)))
   }
@@ -65,7 +65,7 @@ class SharedStorageSpec extends AnyFunSuite {
     Files.list(dir).iterator().asScala.map(_.getFileName.toString).toSeq.sorted
 
   test("a write that throws leaves no temporary file and the target as it was") {
-    val dir = Files.createTempDirectory("umzi-atomic")
+    val dir = tempDir("umzi-atomic")
     def failingWrite(target: Path): Unit = {
       val e = intercept[IllegalStateException] {
         SharedStorage.writeAtomically(target) { tmp =>
@@ -97,7 +97,7 @@ class SharedStorageSpec extends AnyFunSuite {
   }
 
   test("a sidecar, post-groom state or checkpoint without a key fails naming the file and the key") {
-    val dir = Files.createTempDirectory("umzi-props")
+    val dir = tempDir("umzi-props")
     val meta = BlockMeta("groomed", 3, ShardFiles.blockFile(dir, 3).toString, 10, 0, 1, 5, 9)
     meta.write(dir)
     assert(BlockMeta.read(ShardFiles.metaFile(dir, 3)) == meta)
@@ -115,7 +115,7 @@ class SharedStorageSpec extends AnyFunSuite {
   test("listing runs and block sidecars closes the directory handle") {
     val s = storage()
     s.writeRun(mkRun(1))
-    val dir = Files.createTempDirectory("umzi-listing")
+    val dir = tempDir("umzi-listing")
     BlockMeta("groomed", 0, ShardFiles.blockFile(dir, 0).toString, 1, 0, 0, 0, 0).write(dir)
     val os = java.lang.management.ManagementFactory.getOperatingSystemMXBean
       .asInstanceOf[com.sun.management.UnixOperatingSystemMXBean]

@@ -6,6 +6,7 @@ import org.apache.parquet.hadoop.metadata.CompressionCodecName
 import org.apache.parquet.io.LocalInputFile
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
 import org.apache.parquet.schema.Type.Repetition
+import repro.core.Fixtures.TempDirs
 import repro.SparkSpec
 import repro.core._
 import repro.dsv2.{UmziScan, UmziInputPartition, UmziSnapshot}
@@ -15,10 +16,10 @@ import scala.util.Random
 /** Groom operation: live zone -> groomed blocks + level-0 index runs
   * (paper §2.1, §5.2).
   */
-class GroomerSpec extends SparkSpec {
+class GroomerSpec extends SparkSpec with TempDirs {
 
   private def newShard(): Shard =
-    new Shard(spark, Files.createTempDirectory("umzi-groomer"))
+    new Shard(spark, tempDir("umzi-groomer"))
 
   private def batch(n: Int, dev: Long = 1, msgBase: Long = 0): Seq[Upsert] =
     (0 until n).map(i => Upsert(dev, msgBase + i, 1000 + i, i))
@@ -109,7 +110,7 @@ class GroomerSpec extends SparkSpec {
   // ------------------------------------------------ ParquetIo.writeLongRows
 
   test("a written block reads back identically through parquet-mr and Spark") {
-    val dir = Files.createTempDirectory("umzi-writer")
+    val dir = tempDir("umzi-writer")
     val cols = Seq("b", "a", "c")
     val rng = new Random(7)
     val rows = Array.fill(3000)(Array(rng.nextLong(), Long.MinValue + rng.nextInt(3), Long.MaxValue - rng.nextInt(3)))
@@ -144,7 +145,7 @@ class GroomerSpec extends SparkSpec {
   }
 
   test("a failed write leaves neither the block nor a temporary file") {
-    val dir = Files.createTempDirectory("umzi-writer")
+    val dir = tempDir("umzi-writer")
     intercept[IllegalArgumentException] {
       ParquetIo.writeLongRows(dir.resolve("block-0.parquet"), Seq("a", "b"), Array(Array(1L, 2L), Array(3L)))
     }
@@ -152,7 +153,7 @@ class GroomerSpec extends SparkSpec {
   }
 
   test("a temporary file left by a crashed write is ignored by listings, scans and restarts") {
-    val root = Files.createTempDirectory("umzi-groomer")
+    val root = tempDir("umzi-groomer")
     val shard = new Shard(spark, root)
     (0 until 3).foreach { c =>
       shard.ingest((0 until 30).map(i => Upsert(1, c * 10 + i % 12, c * 100 + i, i)))

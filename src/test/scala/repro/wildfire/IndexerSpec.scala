@@ -1,14 +1,14 @@
 package repro.wildfire
 
-import java.nio.file.Files
+import repro.core.Fixtures.TempDirs
 import repro.SparkSpec
 import repro.core._
 
 /** Indexer daemon: IndexedPSN/MaxPSN polling and evolve (paper §5.4, Fig 5). */
-class IndexerSpec extends SparkSpec {
+class IndexerSpec extends SparkSpec with TempDirs {
 
   private def newShard(): Shard =
-    new Shard(spark, Files.createTempDirectory("umzi-indexer"))
+    new Shard(spark, tempDir("umzi-indexer"))
 
   private def cycle(shard: Shard, ups: Seq[Upsert]): Unit = {
     shard.ingest(ups); shard.groomOnce()

@@ -1,16 +1,16 @@
 package repro.wildfire
 
-import java.nio.file.Files
+import repro.core.Fixtures.TempDirs
 import repro.SparkSpec
 import repro.core._
 
 /** Post-groom operation: groomed -> post-groomed zone with partition-key
   * re-organization, prevRID/endTS setting and PSN publication (paper §2.1).
   */
-class PostGroomerSpec extends SparkSpec {
+class PostGroomerSpec extends SparkSpec with TempDirs {
 
   private def newShard(): Shard =
-    new Shard(spark, Files.createTempDirectory("umzi-postgroomer"))
+    new Shard(spark, tempDir("umzi-postgroomer"))
 
   private def groomBatch(shard: Shard, ups: Seq[Upsert]): BlockMeta = {
     shard.ingest(ups)

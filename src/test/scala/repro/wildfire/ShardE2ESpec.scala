@@ -2,6 +2,7 @@ package repro.wildfire
 
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
+import repro.core.Fixtures.TempDirs
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.dsv2.UmziSnapshot
@@ -12,7 +13,7 @@ import scala.jdk.CollectionConverters._
   * with index lookups and unified snapshot scans checked against a model
   * and the DuckDB oracle.
   */
-class ShardE2ESpec extends SparkSpec {
+class ShardE2ESpec extends SparkSpec with TempDirs {
 
   /** Run `cycles` groom cycles (post-groom every `postGroomEvery`), keeping a
     * driver-side model of the latest version per key.
@@ -44,7 +45,7 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("index lookups return the latest version of every key across zones") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
+    val shard = new Shard(spark, tempDir("umzi-e2e"))
     val model = drive(shard, cycles = 6, perCycle = 40, postGroomEvery = 3,
       updatePercent = 30.0, seed = 60)
     model.foreach { case ((dev, msg), v) =>
@@ -55,7 +56,7 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("range scans agree with the model across zones") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
+    val shard = new Shard(spark, tempDir("umzi-e2e"))
     val model = drive(shard, cycles = 6, perCycle = 40, postGroomEvery = 2,
       updatePercent = 20.0, seed = 61)
     (0L until 8L).foreach { dev =>
@@ -83,14 +84,14 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("unified snapshot scan matches DuckDB over the full version history") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
+    val shard = new Shard(spark, tempDir("umzi-e2e"))
     drive(shard, cycles = 6, perCycle = 30, postGroomEvery = 3,
       updatePercent = 40.0, seed = 62)
     assertSnapshotMatchesOracle(shard)
   }
 
   test("time-travel snapshot matches DuckDB at a historical timestamp") {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-e2e"))
+    val shard = new Shard(spark, tempDir("umzi-e2e"))
     drive(shard, cycles = 6, perCycle = 30, postGroomEvery = 3,
       updatePercent = 40.0, seed = 63)
     import spark.implicits._
@@ -110,7 +111,7 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("index recovery after a crash preserves all answers") {
-    val root = Files.createTempDirectory("umzi-e2e")
+    val root = tempDir("umzi-e2e")
     val shard = new Shard(spark, root)
     val model = drive(shard, cycles = 5, perCycle = 30, postGroomEvery = 2,
       updatePercent = 25.0, seed = 64)
@@ -128,7 +129,7 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("ingest continues correctly after recovery") {
-    val root = Files.createTempDirectory("umzi-e2e")
+    val root = tempDir("umzi-e2e")
     val shard = new Shard(spark, root)
     drive(shard, cycles = 4, perCycle = 20, postGroomEvery = 2,
       updatePercent = 0.0, seed = 65)
@@ -142,7 +143,7 @@ class ShardE2ESpec extends SparkSpec {
   }
 
   test("a shard whose root moved recovers, reads and grooms from the new root") {
-    val root = Files.createTempDirectory("umzi-e2e")
+    val root = tempDir("umzi-e2e")
     val shard = new Shard(spark, root)
     val model = drive(shard, cycles = 5, perCycle = 30, postGroomEvery = 2,
       updatePercent = 25.0, seed = 66)
@@ -151,7 +152,7 @@ class ShardE2ESpec extends SparkSpec {
     }
     val before = answers(shard)
 
-    val moved = root.resolveSibling(s"${root.getFileName}-moved")
+    val moved = tempDir("umzi-e2e-moved").resolve("shard")
     Files.move(root, moved)
     val revived = new Shard(spark, moved)
     revived.recoverIndex()

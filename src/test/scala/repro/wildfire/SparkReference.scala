@@ -19,13 +19,14 @@ object SparkReference {
     */
   def writeSingleFile(df: DataFrame, target: Path): Unit = {
     val tmpDir = Files.createTempDirectory(target.getParent, ".spark-out")
-    df.coalesce(1).write.mode("overwrite").parquet(tmpDir.toString)
-    val part = Files.list(tmpDir).iterator().asScala
-      .find(p => p.getFileName.toString.startsWith("part-") &&
-        p.getFileName.toString.endsWith(".parquet"))
-      .getOrElse(throw new IllegalStateException(s"no part file in $tmpDir"))
-    Files.move(part, target, java.nio.file.StandardCopyOption.REPLACE_EXISTING)
-    Files.walk(tmpDir).iterator().asScala.toSeq.reverse.foreach(p => Files.deleteIfExists(p))
+    try {
+      df.coalesce(1).write.mode("overwrite").parquet(tmpDir.toString)
+      val part = Files.list(tmpDir).iterator().asScala
+        .find(p => p.getFileName.toString.startsWith("part-") &&
+          p.getFileName.toString.endsWith(".parquet"))
+        .getOrElse(throw new IllegalStateException(s"no part file in $tmpDir"))
+      Files.move(part, target, java.nio.file.StandardCopyOption.REPLACE_EXISTING)
+    } finally Fixtures.deleteTree(tmpDir)
   }
 
   /** [[Groomer.groom]] with its block written by a Spark job. */

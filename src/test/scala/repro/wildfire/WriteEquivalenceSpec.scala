@@ -6,6 +6,7 @@ import org.apache.parquet.io.LocalInputFile
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
+import repro.core.Fixtures.TempDirs
 import repro.SparkSpec
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -17,7 +18,7 @@ import WriteEquivalenceSpec._
   * post-groomed blocks (block IDs, offsets, endTS, prevRID chains), endTS
   * deltas, sidecars and the published state.
   */
-class WriteEquivalenceSpec extends SparkSpec {
+class WriteEquivalenceSpec extends SparkSpec with TempDirs {
 
   private val keysGen: Gen[Keys] =
     Gen.oneOf(Gen.const(Sequential), Gen.const(RandomKeys), Gen.choose(1L, 4L).map(Narrow))
@@ -89,8 +90,8 @@ class WriteEquivalenceSpec extends SparkSpec {
   private val blocksPerPostGroom = mutable.Set.empty[Int]
 
   private def runScenario(sc: Scenario): Unit = {
-    val shard = new Shard(spark, Files.createTempDirectory("umzi-write-eq"))
-    val ref = new Shard(spark, Files.createTempDirectory("umzi-write-ref"))
+    val shard = new Shard(spark, tempDir("umzi-write-eq"))
+    val ref = new Shard(spark, tempDir("umzi-write-ref"))
     var groomSeq = 0L
     upsertsOf(sc).foreach { cycles =>
       cycles.foreach { ups =>
